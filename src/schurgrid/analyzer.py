@@ -21,12 +21,7 @@ from .grid import (
     diagonal_cells,
     diagonal_index,
 )
-from .solutions import (
-    SolutionIndex,
-    interval_index,
-    is_rainbow_free,
-    solution_index,
-)
+from .solutions import SolutionIndex, index_for, is_rainbow_free
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +256,7 @@ class _Ctx:
 
     @cached_property
     def index(self) -> SolutionIndex:
-        if self.interval:
-            return interval_index(self.dims.n)
-        return solution_index(self.dims)
+        return index_for(self.dims, self.interval)
 
     @cached_property
     def rainbow_free(self) -> bool:

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .coloring import Coloring, is_exact
 from .grid import GridDims
-from .solutions import interval_index, is_rainbow_free, solution_index
+from .solutions import index_for, is_rainbow_free
 
 ENGINE_VERSION = "schurgrid-0.1.0"
 INTERVAL_ENGINE_VERSION = ENGINE_VERSION + "-interval"
@@ -91,10 +91,6 @@ class Certificate:
             return False
         if not is_exact(self.coloring):
             return False
-        if self.is_interval:
-            if self.dims.m != 1:
-                return False
-            index = interval_index(self.dims.n)
-        else:
-            index = solution_index(self.dims)
-        return is_rainbow_free(self.coloring, index)
+        if self.is_interval and self.dims.m != 1:
+            return False
+        return is_rainbow_free(self.coloring, index_for(self.dims, self.is_interval))

@@ -47,10 +47,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _at_least(cast, lowest):
+    """argparse type: cast the text, rejecting values below lowest."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not value >= lowest:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # names the type in argparse's messages
+    return parse
+
+
 def _budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--max-seconds", type=float, default=None)
+    p.add_argument("--threads", type=_at_least(int, 1), default=1)
+    p.add_argument("--max-nodes", type=_at_least(int, 0), default=None)
+    p.add_argument("--max-seconds", type=_at_least(float, 0), default=None)
 
 
 def _budget_of(args: argparse.Namespace) -> SearchBudget:

@@ -4,8 +4,8 @@ The engine walks restricted growth strings over a fixed cell order, so each
 color-permutation class is visited exactly once. A branch dies as soon as
 an assignment completes a rainbow triple, or when the cells left cannot
 cover the colors still unused. The incident-triple lists per cell are
-precomputed; the inner loop touches only the triples completed by the cell
-just assigned.
+precomputed from SolutionIndex.arrays(); the inner loop touches only the
+triples completed by the cell just assigned.
 
 Multi-worker runs split the tree at a shallow depth into independent
 prefix tasks executed in separate processes; exhaustion requires all tasks
@@ -19,11 +19,13 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .certificates import ENGINE_VERSION, INTERVAL_ENGINE_VERSION, Certificate
 from .coloring import Coloring
 from .constructions import closed_form_rb_grid, closed_form_rb_interval
-from .grid import GridDims
-from .solutions import SolutionIndex, interval_index, solution_index
+from .grid import GridDims, enumerate_solutions
+from .solutions import SolutionIndex, index_for
 
 
 class BudgetExceeded(Exception):
@@ -62,17 +64,20 @@ def assignment_order(dims: GridDims, order: str = "row") -> list[int]:
 def _build_checks(index: SolutionIndex, order: list[int]) -> list[list[tuple[int, int]]]:
     """checks[p] lists the (flat, flat) partner cells of every non-degenerate
     triple completed by the cell assigned at position p."""
-    dims = index.dims
-    pos_of = {cell: p for p, cell in enumerate(order)}
+    alpha, beta, gamma, degenerate = index.arrays()
+    cells = np.stack([alpha, beta, gamma], axis=1)[~degenerate]
+    pos_of = np.empty(len(order), dtype=np.intp)
+    pos_of[order] = np.arange(len(order))
+    positions = pos_of[cells]
+    last = positions.argmax(axis=1)
+    rows = np.arange(len(cells))
     checks: list[list[tuple[int, int]]] = [[] for _ in order]
-    for t in index.triples():
-        if t.degenerate:
-            continue
-        cells = [dims.flat(t.alpha), dims.flat(t.beta), dims.flat(t.gamma)]
-        positions = [pos_of[x] for x in cells]
-        last = max(positions)
-        others = [c for c, p in zip(cells, positions) if p != last]
-        checks[last].append((others[0], others[1]))
+    for p, f1, f2 in zip(
+        positions.max(axis=1).tolist(),
+        cells[rows, (last + 1) % 3].tolist(),
+        cells[rows, (last + 2) % 3].tolist(),
+    ):
+        checks[p].append((f1, f2))
     return checks
 
 
@@ -149,8 +154,10 @@ def _stream(
         counter[0] += nodes_local
 
 
-def _index_for(dims: GridDims, interval: bool) -> SolutionIndex:
-    return interval_index(dims.n) if interval else solution_index(dims)
+def _deadline(seconds: Optional[float]) -> Optional[float]:
+    """Monotonic time after which a search stops; None means no limit
+    (0 seconds stops at the first budget check)."""
+    return None if seconds is None else time.monotonic() + seconds
 
 
 def _engine(interval: bool) -> str:
@@ -160,8 +167,7 @@ def _engine(interval: bool) -> str:
 def _subtree_worker(args) -> tuple[str, Optional[tuple[int, ...]], int]:
     order, checks, r, prefix, max_nodes, seconds_left = args
     counter = [0]
-    deadline = time.monotonic() + seconds_left if seconds_left is not None else None
-    gen = _stream(order, checks, r, prefix, None, counter, max_nodes, deadline)
+    gen = _stream(order, checks, r, prefix, None, counter, max_nodes, _deadline(seconds_left))
     try:
         for cells in gen:
             gen.close()
@@ -237,16 +243,14 @@ def exists_rainbow_free(
         return Certificate("exhaustion", dims, r, None, 0, _engine(interval))
     if not 1 <= r <= cap:
         raise ValueError(f"color count {r} outside [1, {cap + 1}]")
-    index = _index_for(dims, interval)
+    index = index_for(dims, interval)
     cell_order = assignment_order(dims, order)
     checks = _build_checks(index, cell_order)
     if budget.threads > 1:
         witness, nodes = _run_parallel(cell_order, checks, r, budget)
     else:
         counter = [0]
-        deadline = (
-            time.monotonic() + budget.max_seconds if budget.max_seconds else None
-        )
+        deadline = _deadline(budget.max_seconds)
         gen = _stream(cell_order, checks, r, (), None, counter, budget.max_nodes, deadline)
         witness = None
         for cells in gen:
@@ -272,11 +276,11 @@ def enumerate_rainbow_free(
     cap = dims.cell_count
     if not 1 <= r <= cap:
         raise ValueError(f"color count {r} outside [1, {cap}]")
-    index = _index_for(dims, interval)
+    index = index_for(dims, interval)
     cell_order = assignment_order(dims, "row")
     checks = _build_checks(index, cell_order)
     counter = [0]
-    deadline = time.monotonic() + budget.max_seconds if budget.max_seconds else None
+    deadline = _deadline(budget.max_seconds)
     for cells in _stream(
         cell_order, checks, r, (), None, counter, budget.max_nodes, deadline
     ):
@@ -304,18 +308,23 @@ def _partitions_into_blocks(n_items: int, r: int) -> Iterator[tuple[int, ...]]:
 def naive_oracle(dims: GridDims, r: int, interval: bool = False) -> Certificate:
     """Reference decision by unpruned enumeration of all exact r-colorings
     (set partitions into r blocks), each checked by a plain triple scan.
-    Test-only; hard-capped at 10 cells."""
+    The triples come from grid.enumerate_solutions or a plain a + b = c
+    loop, never from the solution index the search uses. Test-only;
+    hard-capped at 10 cells."""
     cap = dims.cell_count
     if cap > 10:
         raise ValueError(f"naive oracle capped at 10 cells, got {cap}")
     if not 1 <= r <= cap:
         raise ValueError(f"color count {r} outside [1, {cap}]")
-    index = _index_for(dims, interval)
-    trips = [
-        (dims.flat(t.alpha), dims.flat(t.beta), dims.flat(t.gamma))
-        for t in index.triples()
-        if not t.degenerate
-    ]
+    if interval:
+        n = dims.n
+        trips = [(a - 1, b - 1, a + b - 1) for a in range(1, n) for b in range(a + 1, n - a + 1)]
+    else:
+        trips = [
+            (dims.flat(t.alpha), dims.flat(t.beta), dims.flat(t.gamma))
+            for t in enumerate_solutions(dims)
+            if not t.degenerate
+        ]
     examined = 0
     for cells in _partitions_into_blocks(cap, r):
         examined += 1
@@ -380,7 +389,11 @@ def _rb_scan(
             while r > 2 and cert_at(r - 1).kind == "exhaustion":
                 r -= 1
         witness = cert_at(r - 1)
-        assert witness.kind == "witness", "monotonicity violated by the engine"
+        if witness.kind != "witness":
+            raise RuntimeError(
+                f"monotonicity violated by the engine: no witness at r = {r - 1} "
+                f"on {dims.m}x{dims.n}"
+            )
         return RbResult(dims, r, witness, cert_at(r), True, r, r, interval)
     except BudgetExceeded:
         lo = max((rr + 1 for rr, c in certs.items() if c.kind == "witness"), default=2)

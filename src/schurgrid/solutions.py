@@ -1,166 +1,132 @@
-"""Solution indexes: precomputed triples with fast rainbow lookup.
+"""One solution index for both equations, with fast rainbow lookup.
 
-Two flavors share one duck-typed interface:
+The grid equation (component-wise sums inside [m]x[n]) and Schur triples
+a + b = c inside [n] are the same equation, x + y = z, inside a box: shape
+(m, n) for a grid and (n,) for an interval. The interval lives on the
+1-by-n carrier grid, whose row-major flat ids coincide with the box's, so
+one SolutionIndex serves both (the grid equation alone has no solutions
+when m = 1).
 
-* GridSolutionIndex -- component-wise sums inside [m]x[n]; triples are held
-  as flat numpy index arrays so rainbow checks vectorize.
-* IntervalSolutionIndex -- integer sums a + b = c inside [n], modeled on a
-  1-by-n grid. The grid equation has no solutions when m = 1, so intervals
-  need their own index.
-
-Both expose: dims, triples(), cell_triples(), find_rainbow(cells).
+The index keeps only the box and its trailing-axis pairs: the column pairs
+(j1, j2) with j1 + j2 <= n on a grid, one empty pair on an interval. Triples
+are streamed by one sweep over the leading coordinate of the first summand,
+never stored: [10^4] alone has 25M of them, so memory stays O(cells).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .coloring import Coloring
-from .grid import GridDims, GridPoint, SolutionTriple, enumerate_solutions
+from .grid import GridDims, SolutionTriple
 
 
-def _ordered_pairs(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered (x, y) with x, y >= 1 and x + y <= limit."""
-    xs, ys = [], []
-    for x in range(1, limit):
-        cnt = limit - x
-        xs.append(np.full(cnt, x, dtype=np.int32))
-        ys.append(np.arange(1, cnt + 1, dtype=np.int32))
-    if not xs:
-        empty = np.empty(0, dtype=np.int32)
-        return empty, empty
-    return np.concatenate(xs), np.concatenate(ys)
+class SolutionIndex:
+    """Every unordered solution {x, y, x + y} of x + y = z inside a box."""
 
-
-class GridSolutionIndex:
-    """Flat-index arrays (alpha, beta, gamma) of every unordered solution."""
-
-    def __init__(self, dims: GridDims):
+    def __init__(self, dims: GridDims, interval: bool = False):
+        if interval and dims.m != 1:
+            raise ValueError(f"an interval lives on a 1-by-n carrier, got {dims.m}x{dims.n}")
         self.dims = dims
-        m, n = dims.m, dims.n
-        ri1, ri2 = _ordered_pairs(m)
-        cj1, cj2 = _ordered_pairs(n)
-        if ri1.size == 0 or cj1.size == 0:
-            self.alpha = self.beta = self.gamma = np.empty(0, dtype=np.int32)
-            self.degenerate = np.empty(0, dtype=bool)
+        self.shape = (dims.n,) if interval else (dims.m, dims.n)
+        # (first summand, second summand, sum) offsets within a box row
+        if interval:
+            empty = np.zeros(1, dtype=np.intp)
+            self._pairs = (empty, empty, empty)
         else:
-            i1 = ri1[:, None]
-            i2 = ri2[:, None]
-            j1 = cj1[None, :]
-            j2 = cj2[None, :]
-            # keep the lexicographically ordered representative of each pair
-            keep = (i1 < i2) | ((i1 == i2) & (j1 <= j2))
-            af = ((i1 - 1) * n + (j1 - 1)) + np.zeros_like(keep, dtype=np.int32)
-            bf = ((i2 - 1) * n + (j2 - 1)) + np.zeros_like(keep, dtype=np.int32)
-            gf = ((i1 + i2 - 1) * n + (j1 + j2 - 1)) + np.zeros_like(keep, dtype=np.int32)
-            deg = (i1 == i2) & (j1 == j2)
-            self.alpha = af[keep]
-            self.beta = bf[keep]
-            self.gamma = gf[keep]
-            self.degenerate = deg[keep]
-        self._triples: list[SolutionTriple] | None = None
+            j = np.arange(1, dims.n)
+            t1, t2 = np.nonzero(j[:, None] + j[None, :] <= dims.n)
+            self._pairs = (t1, t2, t1 + t2 + 1)
 
     def __len__(self) -> int:
-        return int(self.alpha.size)
+        ordered = math.prod(s * (s - 1) // 2 for s in self.shape)
+        diagonal = math.prod(s // 2 for s in self.shape)
+        return (ordered + diagonal) // 2
 
-    def triples(self) -> list[SolutionTriple]:
-        if self._triples is None:
-            self._triples = enumerate_solutions(self.dims)
-        return self._triples
+    def _block(self, rows: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """rows (a flat array reshaped by _rows) at the first summand, second
+        summand and sum of the triples whose first summand has leading
+        coordinate x. Axis 0 runs over the second summand's leading
+        coordinate y = x..L-x, axis 1 over the trailing pairs. Over the box's
+        leading side L, x <= y and x + y <= L leave x = 1..L//2."""
+        t1, t2, t3 = self._pairs
+        return rows[x - 1, t1], rows[x - 1 : len(rows) - x, t2], rows[2 * x - 1 :, t3]
 
-    def cell_triples(self) -> list[list[int]]:
-        """Per flat cell, ids of the triples it participates in."""
-        out: list[list[int]] = [[] for _ in range(self.dims.cell_count)]
-        for t, trip in enumerate(self.triples()):
-            for p in {trip.alpha, trip.beta, trip.gamma}:
-                out[self.dims.flat(p)].append(t)
-        return out
-
-    def find_rainbow(self, cells: Sequence[int]) -> Optional[SolutionTriple]:
-        if self.alpha.size == 0:
-            return None
-        col = np.asarray(cells, dtype=np.int32)
-        ca = col[self.alpha]
-        cb = col[self.beta]
-        cg = col[self.gamma]
-        hits = np.flatnonzero(
-            ~self.degenerate & (ca != cb) & (ca != cg) & (cb != cg)
-        )
-        if hits.size == 0:
-            return None
-        k = int(hits[0])
-        return SolutionTriple.of(
-            self.dims.point(int(self.alpha[k])), self.dims.point(int(self.beta[k]))
-        )
-
-
-class IntervalSolutionIndex:
-    """Schur triples a + b = c in [n], on a 1-by-n carrier grid."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"interval length must be positive, got {n}")
-        self.n = n
-        self.dims = GridDims(1, n)
-        self._triples: list[SolutionTriple] | None = None
-
-    def __len__(self) -> int:
-        return sum(self.n - 2 * a + 1 for a in range(1, self.n // 2 + 1))
-
-    def triples(self) -> list[SolutionTriple]:
-        if self._triples is None:
-            self._triples = [
-                SolutionTriple(
-                    GridPoint(1, a), GridPoint(1, b), GridPoint(1, a + b), a == b
-                )
-                for a in range(1, self.n // 2 + 1)
-                for b in range(a, self.n - a + 1)
-            ]
-        return self._triples
-
-    def cell_triples(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for t, trip in enumerate(self.triples()):
-            for p in {trip.alpha, trip.beta, trip.gamma}:
-                out[p.j - 1].append(t)
-        return out
+    def _rows(self, values=None) -> np.ndarray:
+        """Flat values (default: the flat ids) reshaped to (L, row width)."""
+        if values is None:
+            values = np.arange(self.dims.cell_count)
+        return np.asarray(values).reshape(self.shape[0], -1)
 
     def find_rainbow(self, cells: Sequence[int]) -> Optional[SolutionTriple]:
-        # One vectorized sweep per value of a keeps memory flat even for
-        # n around 10^4.
-        col = np.asarray(cells, dtype=np.int32)
-        n = self.n
-        for a in range(1, n // 2 + 1):
-            ca = col[a - 1]
-            cb = col[a:n - a]  # b in [a+1, n-a]; b == a is degenerate
-            cc = col[2 * a : n]
-            hits = np.flatnonzero((cb != ca) & (cc != ca) & (cb != cc))
+        """First rainbow triple under the flat coloring cells, or None.
+        Degenerate triples need no mask: both summands share one color."""
+        colors = self._rows(cells)
+        for x in range(1, self.shape[0] // 2 + 1):
+            ca, cb, cc = self._block(colors, x)
+            hits = np.flatnonzero((ca != cb) & (ca != cc) & (cb != cc))
             if hits.size:
-                b = a + 1 + int(hits[0])
-                return SolutionTriple(
-                    GridPoint(1, a), GridPoint(1, b), GridPoint(1, a + b), False
-                )
+                ids = self._block(self._rows(), x)
+                a, b, c = (int(np.broadcast_to(arr, cb.shape).flat[hits[0]]) for arr in ids)
+                p = self.dims.point
+                return SolutionTriple(p(min(a, b)), p(max(a, b)), p(c), False)
         return None
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Flat ids (alpha, beta, gamma) and the degenerate flag of every
+        triple, alpha <= beta, generated on demand by the find_rainbow sweep
+        and in its order."""
+        t1, t2, _ = self._pairs
+        ids = self._rows()
+        parts: list[list[np.ndarray]] = [[], [], []]
+        for x in range(1, self.shape[0] // 2 + 1):
+            block = np.broadcast_arrays(*self._block(ids, x))
+            keep = np.ones(block[1].shape, dtype=bool)
+            keep[0] = t1 <= t2  # y == x: one ordering of each pair
+            for part, arr in zip(parts, block):
+                part.append(arr[keep])
+        alpha, beta, gamma = (
+            np.concatenate(p) if p else np.empty(0, dtype=np.intp) for p in parts
+        )
+        return alpha, beta, gamma, alpha == beta
 
-SolutionIndex = GridSolutionIndex | IntervalSolutionIndex
+    def triples(self) -> list[SolutionTriple]:
+        p = self.dims.point
+        return [
+            SolutionTriple(p(a), p(b), p(c), d)
+            for a, b, c, d in zip(*(arr.tolist() for arr in self.arrays()))
+        ]
+
+
+def GridSolutionIndex(dims: GridDims) -> SolutionIndex:
+    return SolutionIndex(dims)
+
+
+def IntervalSolutionIndex(n: int) -> SolutionIndex:
+    return SolutionIndex(GridDims(1, n), interval=True)
 
 
 @lru_cache(maxsize=64)
-def grid_index(m: int, n: int) -> GridSolutionIndex:
+def grid_index(m: int, n: int) -> SolutionIndex:
     return GridSolutionIndex(GridDims(m, n))
 
 
 @lru_cache(maxsize=64)
-def interval_index(n: int) -> IntervalSolutionIndex:
+def interval_index(n: int) -> SolutionIndex:
     return IntervalSolutionIndex(n)
 
 
-def solution_index(dims: GridDims) -> GridSolutionIndex:
+def solution_index(dims: GridDims) -> SolutionIndex:
     return grid_index(dims.m, dims.n)
+
+
+def index_for(dims: GridDims, interval: bool) -> SolutionIndex:
+    """The cached index of [n] (on the 1-by-n carrier) or of the grid."""
+    return interval_index(dims.n) if interval else solution_index(dims)
 
 
 def find_rainbow_solution(c: Coloring, index: SolutionIndex) -> Optional[SolutionTriple]:

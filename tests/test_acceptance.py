@@ -114,7 +114,7 @@ def test_criterion_03_lower_bound_construction(report):
             if not is_rainbow_free(c, idx):
                 failures.append((m, n, "rainbow triple found"))
             corner_flats = np.array([d.flat(GridPoint(1, n)), d.flat(GridPoint(m, 1))])
-            touched = np.concatenate([idx.alpha, idx.beta, idx.gamma])
+            touched = np.concatenate(idx.arrays()[:3])
             if np.isin(corner_flats, touched).any():
                 failures.append((m, n, "corner cell appears in a solution"))
     elapsed = time.monotonic() - start

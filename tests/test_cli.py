@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from schurgrid.cli import main
 
 
@@ -51,6 +53,15 @@ def test_rb_grid_budget_indeterminate(capsys):
     code, out, _ = run(capsys, "rb-grid", "--m", "4", "--n", "4", "--max-nodes", "1")
     assert code == 3
     assert "indeterminate" in out
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--threads", "0"), ("--max-nodes", "-1"), ("--max-seconds", "-0.5")]
+)
+def test_budget_flags_reject_out_of_range(capsys, flag, value):
+    code, _, err = run(capsys, "rb-grid", "--m", "2", "--n", "3", flag, value)
+    assert code == 64
+    assert flag in err
 
 
 def test_usage_errors(capsys):

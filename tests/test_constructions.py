@@ -69,5 +69,6 @@ def test_lower_bound_corners_unconstrained():
     d = GridDims(3, 4)
     idx = solution_index(d)
     corner_flats = {d.flat(GridPoint(1, 4)), d.flat(GridPoint(3, 1))}
-    touched = set(idx.alpha.tolist()) | set(idx.beta.tolist()) | set(idx.gamma.tolist())
+    alpha, beta, gamma, _ = idx.arrays()
+    touched = set(alpha.tolist()) | set(beta.tolist()) | set(gamma.tolist())
     assert not (corner_flats & touched)

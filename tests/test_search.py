@@ -85,6 +85,28 @@ def test_node_budget_raises():
         exists_rainbow_free(GridDims(4, 4), 8, SearchBudget(max_nodes=1))
 
 
+def test_zero_seconds_budget_raises_serial_and_parallel():
+    d = GridDims(4, 5)  # r = 10 is an exhaustion of about 2.5M nodes
+    for threads in (1, 2):
+        with pytest.raises(BudgetExceeded):
+            exists_rainbow_free(d, 10, SearchBudget(max_seconds=0, threads=threads))
+    with pytest.raises(BudgetExceeded):
+        list(enumerate_rainbow_free(d, 10, SearchBudget(max_seconds=0)))
+
+
+def test_rb_scan_rejects_non_monotone_engine(monkeypatch):
+    # an engine that claims exhaustion at every r, rb - 1 included, drives
+    # the scan down to r = 1, where a witness must exist
+    from schurgrid import search
+
+    def exhausted(dims, r, budget=None, order="row", interval=False):
+        return Certificate("exhaustion", dims, r, None, 0, ENGINE_VERSION)
+
+    monkeypatch.setattr(search, "exists_rainbow_free", exhausted)
+    with pytest.raises(RuntimeError, match="monotonicity"):
+        rb_search(GridDims(2, 3))
+
+
 def test_budget_cut_gives_bracketing_result():
     res = rb_search(GridDims(4, 4), SearchBudget(max_nodes=1))
     assert not res.complete

@@ -1,12 +1,15 @@
 """Solution indexes against brute-force enumeration and rainbow scans."""
 
 import random
+import tracemalloc
 
 from schurgrid.coloring import Coloring, is_rainbow
+from schurgrid.constructions import lower_bound_coloring, valuation_coloring
 from schurgrid.grid import GridDims, enumerate_solutions
 from schurgrid.solutions import (
     GridSolutionIndex,
     IntervalSolutionIndex,
+    SolutionIndex,
     find_rainbow_solution,
     grid_index,
     interval_index,
@@ -16,15 +19,17 @@ from schurgrid.solutions import (
 
 
 def test_grid_index_matches_enumeration():
-    for m in range(1, 6):
-        for n in range(m, 7):
+    for m in range(1, 7):
+        for n in range(m, 9):
             d = GridDims(m, n)
             idx = GridSolutionIndex(d)
             expected = enumerate_solutions(d)
             assert len(idx) == len(expected)
+            arrays = idx.arrays()
+            assert all(len(arr) == len(expected) for arr in arrays)
             got = {
                 (int(a), int(b), int(g), bool(x))
-                for a, b, g, x in zip(idx.alpha, idx.beta, idx.gamma, idx.degenerate)
+                for a, b, g, x in zip(*arrays)
             }
             want = {
                 (d.flat(t.alpha), d.flat(t.beta), d.flat(t.gamma), t.degenerate)
@@ -34,7 +39,7 @@ def test_grid_index_matches_enumeration():
 
 
 def test_interval_triples_brute_force():
-    for n in range(1, 15):
+    for n in range(1, 41):
         idx = IntervalSolutionIndex(n)
         want = {
             (a, b, a + b)
@@ -45,6 +50,11 @@ def test_interval_triples_brute_force():
         got = {(t.alpha.j, t.beta.j, t.gamma.j) for t in idx.triples()}
         assert got == want
         assert len(idx) == len(want)
+        alpha, beta, gamma, degenerate = idx.arrays()
+        assert len(alpha) == len(want)
+        ids = zip(alpha.tolist(), beta.tolist(), gamma.tolist())
+        assert {(a + 1, b + 1, g + 1) for a, b, g in ids} == want
+        assert degenerate.tolist() == (alpha == beta).tolist()
 
 
 def _random_coloring(d: GridDims, r: int, rng: random.Random) -> Coloring:
@@ -66,6 +76,7 @@ def test_grid_find_rainbow_matches_triple_scan():
             assert (found is None) == (not slow)
             if found is not None:
                 assert is_rainbow(found, c)
+                assert found.alpha + found.beta == found.gamma
 
 
 def test_interval_find_rainbow_matches_triple_scan():
@@ -80,16 +91,8 @@ def test_interval_find_rainbow_matches_triple_scan():
             assert (found is None) == (not slow)
             if found is not None:
                 assert is_rainbow(found, c)
-
-
-def test_cell_triples_cover_every_triple():
-    d = GridDims(3, 4)
-    idx = solution_index(d)
-    per_cell = idx.cell_triples()
-    trips = idx.triples()
-    for t_id, t in enumerate(trips):
-        for p in {t.alpha, t.beta, t.gamma}:
-            assert t_id in per_cell[d.flat(p)]
+                assert found.alpha.i == found.beta.i == found.gamma.i == 1
+                assert found.gamma.j == found.alpha.j + found.beta.j
 
 
 def test_caches_return_same_object():
@@ -103,3 +106,18 @@ def test_single_row_grid_is_trivially_rainbow_free():
     assert is_rainbow_free(c, solution_index(d))
     # the same cells seen as [6] with a + b = c do admit a rainbow
     assert not is_rainbow_free(c, interval_index(6))
+
+
+def test_rainbow_checks_keep_memory_flat():
+    # the index streams its triples: 50x50 has about 750k and [10^4] 25M
+    for c, interval in [
+        (lower_bound_coloring(GridDims(50, 50), verify=False), False),
+        (valuation_coloring(10**4), True),
+    ]:
+        tracemalloc.start()
+        try:
+            assert is_rainbow_free(c, SolutionIndex(c.dims, interval))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (c.dims, peak)
