@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 from .analyzer import LEMMA_CHECKS, check_lemma, structure_report_json
-from .certificates import Certificate
+from .certificates import ENGINE_VERSION, INTERVAL_ENGINE_VERSION, Certificate
 from .coloring import Coloring
 from .constructions import (
     closed_form_rb_grid,
@@ -96,7 +97,7 @@ def _cache_hooks(args: argparse.Namespace, dims: GridDims, engine: str):
 
 
 def _rb_result_dict(res: RbResult, closed: int) -> dict:
-    out: dict = {
+    return {
         "m": res.dims.m,
         "n": res.dims.n,
         "rb": res.rb_value,
@@ -105,18 +106,21 @@ def _rb_result_dict(res: RbResult, closed: int) -> dict:
         "complete": res.complete,
         "lo": res.lo,
         "hi": res.hi,
+        "nodes": res.nodes,
+        "witness": res.witness.to_json_dict() if res.witness else None,
+        "exhaustion": res.exhaustion.to_json_dict() if res.exhaustion else None,
     }
-    out["witness"] = res.witness.to_json_dict() if res.witness else None
-    out["exhaustion"] = res.exhaustion.to_json_dict() if res.exhaustion else None
-    return out
 
 
-def _report_rb(res: RbResult, closed: int, label: str, args) -> int:
+def _report_rb(res: RbResult, closed: int, label: str, cache_hits: list[int], args) -> int:
     if args.json:
         print(json.dumps(_rb_result_dict(res, closed)))
     if not res.complete:
         if not args.json:
-            print(f"indeterminate: budget exhausted with rb in [{res.lo}, {res.hi}]")
+            print(
+                f"indeterminate: budget exhausted with rb in [{res.lo}, {res.hi}] "
+                f"after {res.nodes} nodes"
+            )
         return EXIT_INDETERMINATE
     if res.rb_value != closed:
         if not args.json:
@@ -126,7 +130,7 @@ def _report_rb(res: RbResult, closed: int, label: str, args) -> int:
             )
         return EXIT_FALSIFIED
     if not args.json:
-        cached = " [cached]" if getattr(args, "_cache_hits", None) else ""
+        cached = " [cached]" if cache_hits else ""
         print(f"rb={res.rb_value} ({label}){cached}")
         if res.witness is not None:
             print(f"witness certificate: {res.witness.to_json()}")
@@ -134,34 +138,20 @@ def _report_rb(res: RbResult, closed: int, label: str, args) -> int:
     return EXIT_OK
 
 
-def cmd_rb_grid(args) -> int:
+def cmd_rb(args) -> int:
+    """rb-grid, and rb-interval on the 1-by-n carrier (args.m = 1)."""
     dims = GridDims(args.m, args.n)
-    from .certificates import ENGINE_VERSION
-
-    fetch, record, hits = _cache_hooks(args, dims, ENGINE_VERSION)
-    try:
-        res = rb_search(dims, _budget_of(args), fetch, record)
-    except BudgetExceeded:
-        print("indeterminate: budget exhausted before any conclusion")
-        return EXIT_INDETERMINATE
-    args._cache_hits = hits
-    label = "convention" if dims.m == 1 else "matches m+n+1"
-    return _report_rb(res, closed_form_rb_grid(dims), label, args)
-
-
-def cmd_rb_interval(args) -> int:
-    from .certificates import INTERVAL_ENGINE_VERSION
-
-    dims = GridDims(1, args.n)
-    fetch, record, hits = _cache_hooks(args, dims, INTERVAL_ENGINE_VERSION)
-    try:
-        res = rb_search_interval(args.n, _budget_of(args), fetch, record)
-    except BudgetExceeded:
-        print("indeterminate: budget exhausted before any conclusion")
-        return EXIT_INDETERMINATE
-    args._cache_hits = hits
-    label = "convention" if args.n <= 2 else "matches floor(log2 n)+2"
-    return _report_rb(res, closed_form_rb_interval(args.n), label, args)
+    if args.interval:
+        search, engine = partial(rb_search_interval, dims.n), INTERVAL_ENGINE_VERSION
+        closed = closed_form_rb_interval(dims.n)
+        label = "convention" if dims.n <= 2 else "matches floor(log2 n)+2"
+    else:
+        search, engine = partial(rb_search, dims), ENGINE_VERSION
+        closed = closed_form_rb_grid(dims)
+        label = "convention" if dims.m == 1 else "matches m+n+1"
+    fetch, record, hits = _cache_hooks(args, dims, engine)
+    res = search(_budget_of(args), fetch, record)
+    return _report_rb(res, closed, label, hits, args)
 
 
 def cmd_witness(args) -> int:
@@ -275,22 +265,21 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="schurgrid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rb-grid", parents=[], help="rainbow number of [m]x[n]")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _budget_flags(p)
-    p.add_argument("--cache", metavar="PATH", default=None)
-    p.add_argument("--trust-cache", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rb_grid)
-
-    p = sub.add_parser("rb-interval", help="rainbow number of [n] for a+b=c")
-    p.add_argument("--n", type=int, required=True)
-    _budget_flags(p)
-    p.add_argument("--cache", metavar="PATH", default=None)
-    p.add_argument("--trust-cache", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rb_interval)
+    for name, what, interval in (
+        ("rb-grid", "rainbow number of [m]x[n]", False),
+        ("rb-interval", "rainbow number of [n] for a+b=c", True),
+    ):
+        p = sub.add_parser(name, help=what)
+        if interval:
+            p.set_defaults(m=1)
+        else:
+            p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        _budget_flags(p)
+        p.add_argument("--cache", metavar="PATH", default=None)
+        p.add_argument("--trust-cache", action="store_true")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_rb, interval=interval)
 
     p = sub.add_parser("witness", help="find one rainbow-free exact coloring")
     p.add_argument("--m", type=int, required=True)

@@ -9,13 +9,16 @@ triples completed by the cell just assigned.
 
 Multi-worker runs split the tree at a shallow depth into independent
 prefix tasks executed in separate processes; exhaustion requires all tasks
-to finish, witness discovery cancels the rest.
+to finish, and a witness stops the other workers at their next budget
+check. A SearchBudget bounds the whole public call: every r of an rb scan
+and every worker spend from one node count and one deadline.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -38,13 +41,45 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Caps on a whole search call, across every r of an rb scan and every
+    worker: max_nodes in total and max_seconds from the call's start (0
+    stops at the first check), checked once per _FLUSH_EVERY nodes of each
+    worker. threads > 1 searches in that many processes; a witness in one
+    stops the others."""
+
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
     threads: int = 1
 
 
-_NO_BUDGET = SearchBudget()
 _FLUSH_EVERY = 4096
+
+
+class _Meter:
+    """One public call's budget as it is spent, in shared memory so that
+    every r of a scan and every worker process spend from the same pool:
+    nodes so far, the node cap, one absolute deadline and a stop flag."""
+
+    def __init__(self, budget: Optional[SearchBudget]):
+        budget = budget or SearchBudget()
+        self.max_nodes, self.threads = budget.max_nodes, budget.threads
+        self.deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
+        self.nodes = multiprocessing.Value("q", 0)  # summed under its lock
+        self.stopped = multiprocessing.RawValue("b", 0)  # set by a witness or a cut
+
+    def add(self, nodes: int) -> None:
+        with self.nodes.get_lock():
+            self.nodes.value += nodes
+
+    def go(self) -> bool:
+        """True while the search may go on: not stopped, and the node cap
+        and the deadline not reached (reaching either stops the run)."""
+        if (
+            self.max_nodes is not None and self.nodes.value >= self.max_nodes
+            or self.deadline is not None and time.monotonic() > self.deadline
+        ):
+            self.stopped.value = 1
+        return not self.stopped.value
 
 
 def assignment_order(dims: GridDims, order: str = "row") -> list[int]:
@@ -87,12 +122,13 @@ def _stream(
     r: int,
     prefix: tuple[int, ...],
     stop_depth: Optional[int],
-    counter: list[int],
-    max_nodes: Optional[int],
-    deadline: Optional[float],
+    meter: _Meter,
 ) -> Iterator[tuple[int, ...]]:
     """Depth-first walk over canonical colorings. Yields full flat color
-    tuples, or consistent prefixes of length stop_depth when set."""
+    tuples, or consistent prefixes of length stop_depth when set. Ends
+    early, without a sign, when the meter stops or cuts the run."""
+    if not meter.go():
+        return
     ncells = len(order)
     colors = [0] * (max(order) + 1)
     used_at = [0] * (ncells + 1)
@@ -144,85 +180,84 @@ def _stream(
             if not placed:
                 pos -= 1
             if nodes_local >= _FLUSH_EVERY:
-                counter[0] += nodes_local
+                meter.add(nodes_local)
                 nodes_local = 0
-                if max_nodes is not None and counter[0] >= max_nodes:
-                    raise BudgetExceeded(counter[0] )
-                if deadline is not None and time.monotonic() > deadline:
-                    raise BudgetExceeded(counter[0])
+                if not meter.go():
+                    return
     finally:
-        counter[0] += nodes_local
-
-
-def _deadline(seconds: Optional[float]) -> Optional[float]:
-    """Monotonic time after which a search stops; None means no limit
-    (0 seconds stops at the first budget check)."""
-    return None if seconds is None else time.monotonic() + seconds
+        meter.add(nodes_local)
 
 
 def _engine(interval: bool) -> str:
     return INTERVAL_ENGINE_VERSION if interval else ENGINE_VERSION
 
 
-def _subtree_worker(args) -> tuple[str, Optional[tuple[int, ...]], int]:
-    order, checks, r, prefix, max_nodes, seconds_left = args
-    counter = [0]
-    gen = _stream(order, checks, r, prefix, None, counter, max_nodes, _deadline(seconds_left))
-    try:
-        for cells in gen:
-            gen.close()
-            return ("witness", cells, counter[0])
-        return ("exhausted", None, counter[0])
-    except BudgetExceeded:
-        return ("budget", None, counter[0])
+_job: tuple = ()  # (order, checks, r, meter) of the search a pool worker runs
 
 
-def _run_parallel(
+def _adopt(*job) -> None:
+    """Pool initializer: each worker receives its search once."""
+    global _job
+    _job = job
+
+
+def _first_witness(prefix: tuple[int, ...], job: tuple = ()) -> Optional[tuple[int, ...]]:
+    """First rainbow-free coloring below prefix, or None when the subtree
+    holds none or the run was stopped or cut. A witness stops the run."""
+    order, checks, r, meter = job or _job
+    gen = _stream(order, checks, r, prefix, None, meter)
+    cells = next(gen, None)
+    gen.close()
+    if cells is not None:
+        meter.stopped.value = 1
+    return cells
+
+
+def _search(
     order: list[int],
     checks: list[list[tuple[int, int]]],
     r: int,
-    budget: SearchBudget,
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """Returns (witness cells or None, nodes). Raises BudgetExceeded if any
-    subtree was cut before a witness appeared."""
-    ncells = len(order)
-    counter = [0]
-    depth = 1
-    prefixes: list[tuple[int, ...]] = [()]
-    while depth < ncells and len(prefixes) < 4 * budget.threads:
-        gen = _stream(order, checks, r, (), depth, counter, None, None)
-        prefixes = list(gen)
-        depth += 1
-    if not prefixes:
-        return None, counter[0]
-    seconds_left = budget.max_seconds
-    nodes = counter[0]
-    witness: Optional[tuple[int, ...]] = None
-    cut = False
-    with ProcessPoolExecutor(max_workers=budget.threads) as pool:
-        futures = {
-            pool.submit(
-                _subtree_worker, (order, checks, r, pre, budget.max_nodes, seconds_left)
-            )
-            for pre in prefixes
-        }
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                status, cells, sub_nodes = fut.result()
-                nodes += sub_nodes
-                if status == "witness" and witness is None:
-                    witness = cells
-                elif status == "budget":
-                    cut = True
-            if witness is not None:
-                for fut in pending:
-                    fut.cancel()
-                break
-    if witness is None and cut:
-        raise BudgetExceeded(nodes)
-    return witness, nodes
+    meter: _Meter,
+) -> Optional[tuple[int, ...]]:
+    """Witness cells, or None for an exhaustion. With one thread the whole
+    tree is one in-process task; otherwise it is split at the shallowest
+    depth giving 4 prefix tasks per worker. Raises BudgetExceeded when the
+    meter cut the run before a witness appeared."""
+    job = (order, checks, r, meter)
+    meter.stopped.value = 0  # clears a witness stop; a cut stops again at once
+    if meter.threads == 1:
+        found = [_first_witness((), job)]
+    else:
+        depth, prefixes = 1, [()]
+        while depth < len(order) and len(prefixes) < 4 * meter.threads:
+            prefixes = list(_stream(order, checks, r, (), depth, meter))
+            depth += 1
+        # reading every result drains the pool before it shuts down
+        with ProcessPoolExecutor(meter.threads, initializer=_adopt, initargs=job) as pool:
+            found = list(pool.map(_first_witness, prefixes))
+    witness = next((cells for cells in found if cells is not None), None)
+    if witness is None and meter.stopped.value:  # stopped without a witness: cut
+        raise BudgetExceeded(meter.nodes.value)
+    return witness
+
+
+def _decide(dims: GridDims, r: int, meter: _Meter, order: str, interval: bool) -> Certificate:
+    cap = dims.cell_count
+    if r == cap + 1:
+        # no exact coloring uses more colors than cells, so exhaustion is
+        # vacuously true (the convention boundary r = |S| + 1)
+        return Certificate("exhaustion", dims, r, None, 0, _engine(interval))
+    if not 1 <= r <= cap:
+        raise ValueError(f"color count {r} outside [1, {cap + 1}]")
+    cell_order = assignment_order(dims, order)
+    checks = _build_checks(index_for(dims, interval), cell_order)
+    spent = meter.nodes.value
+    witness = _search(cell_order, checks, r, meter)
+    nodes = meter.nodes.value - spent
+    if witness is not None:
+        coloring = Coloring(dims, witness, r)
+        return Certificate("witness", dims, r, coloring, nodes, _engine(interval))
+    return Certificate("exhaustion", dims, r, None, nodes, _engine(interval))
 
 
 def exists_rainbow_free(
@@ -235,33 +270,7 @@ def exists_rainbow_free(
     """Witness certificate with a rainbow-free exact r-coloring, or an
     exhaustion certificate stating none exists. Raises BudgetExceeded when
     the budget cut the search before either could be concluded."""
-    budget = budget or _NO_BUDGET
-    cap = dims.cell_count
-    if r == cap + 1:
-        # no exact coloring uses more colors than cells, so exhaustion is
-        # vacuously true (the convention boundary r = |S| + 1)
-        return Certificate("exhaustion", dims, r, None, 0, _engine(interval))
-    if not 1 <= r <= cap:
-        raise ValueError(f"color count {r} outside [1, {cap + 1}]")
-    index = index_for(dims, interval)
-    cell_order = assignment_order(dims, order)
-    checks = _build_checks(index, cell_order)
-    if budget.threads > 1:
-        witness, nodes = _run_parallel(cell_order, checks, r, budget)
-    else:
-        counter = [0]
-        deadline = _deadline(budget.max_seconds)
-        gen = _stream(cell_order, checks, r, (), None, counter, budget.max_nodes, deadline)
-        witness = None
-        for cells in gen:
-            witness = cells
-            gen.close()
-            break
-        nodes = counter[0]
-    if witness is not None:
-        coloring = Coloring(dims, witness, r)
-        return Certificate("witness", dims, r, coloring, nodes, _engine(interval))
-    return Certificate("exhaustion", dims, r, None, nodes, _engine(interval))
+    return _decide(dims, r, _Meter(budget), order, interval)
 
 
 def enumerate_rainbow_free(
@@ -272,19 +281,16 @@ def enumerate_rainbow_free(
 ) -> Iterator[Coloring]:
     """Every canonical rainbow-free exact r-coloring, each class once.
     A budget cut raises BudgetExceeded mid-stream (truncation marker)."""
-    budget = budget or _NO_BUDGET
+    meter = _Meter(budget)
     cap = dims.cell_count
     if not 1 <= r <= cap:
         raise ValueError(f"color count {r} outside [1, {cap}]")
-    index = index_for(dims, interval)
     cell_order = assignment_order(dims, "row")
-    checks = _build_checks(index, cell_order)
-    counter = [0]
-    deadline = _deadline(budget.max_seconds)
-    for cells in _stream(
-        cell_order, checks, r, (), None, counter, budget.max_nodes, deadline
-    ):
+    checks = _build_checks(index_for(dims, interval), cell_order)
+    for cells in _stream(cell_order, checks, r, (), None, meter):
         yield Coloring(dims, cells, r)
+    if meter.stopped.value:
+        raise BudgetExceeded(meter.nodes.value)
 
 
 def _partitions_into_blocks(n_items: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -350,6 +356,7 @@ class RbResult:
     lo: Optional[int] = None  # bracketing bounds when the budget cut the run
     hi: Optional[int] = None
     interval: bool = False
+    nodes: int = 0  # spent by the whole scan, cut or complete
 
 
 def _rb_scan(
@@ -363,6 +370,7 @@ def _rb_scan(
     """fetch(r) may supply a precomputed Certificate (cache hook); record(cert)
     is called for every freshly computed one."""
     cap = dims.cell_count
+    meter = _Meter(budget)
     certs: dict[int, Certificate] = {}
 
     def cert_at(rr: int) -> Certificate:
@@ -370,12 +378,8 @@ def _rb_scan(
             cached = fetch(rr) if fetch is not None else None
             if cached is not None:
                 certs[rr] = cached
-            elif rr > cap:
-                # no exact coloring with more colors than cells exists, so
-                # the exhaustion claim is vacuously true (convention case)
-                certs[rr] = Certificate("exhaustion", dims, rr, None, 0, _engine(interval))
             else:
-                certs[rr] = exists_rainbow_free(dims, rr, budget, interval=interval)
+                certs[rr] = _decide(dims, rr, meter, "row", interval)
                 if record is not None:
                     record(certs[rr])
         return certs[rr]
@@ -394,13 +398,13 @@ def _rb_scan(
                 f"monotonicity violated by the engine: no witness at r = {r - 1} "
                 f"on {dims.m}x{dims.n}"
             )
-        return RbResult(dims, r, witness, cert_at(r), True, r, r, interval)
+        return RbResult(dims, r, witness, cert_at(r), True, r, r, interval, meter.nodes.value)
     except BudgetExceeded:
         lo = max((rr + 1 for rr, c in certs.items() if c.kind == "witness"), default=2)
         hi = min((rr for rr, c in certs.items() if c.kind == "exhaustion"), default=cap + 1)
-        wit = certs.get(lo - 1) if certs.get(lo - 1, None) and certs[lo - 1].kind == "witness" else None
-        exh = certs.get(hi) if certs.get(hi, None) and certs[hi].kind == "exhaustion" else None
-        return RbResult(dims, None, wit, exh, False, lo, hi, interval)
+        return RbResult(
+            dims, None, certs.get(lo - 1), certs.get(hi), False, lo, hi, interval, meter.nodes.value
+        )
 
 
 def rb_search(

@@ -1,5 +1,7 @@
 """Search engine: oracle agreement, rb values, budgets, certificates."""
 
+import time
+
 import pytest
 
 from schurgrid.certificates import ENGINE_VERSION, Certificate
@@ -7,6 +9,7 @@ from schurgrid.coloring import canonicalize, is_exact
 from schurgrid.constructions import closed_form_rb_grid, closed_form_rb_interval
 from schurgrid.grid import GridDims
 from schurgrid.search import (
+    _FLUSH_EVERY,
     BudgetExceeded,
     SearchBudget,
     enumerate_rainbow_free,
@@ -94,15 +97,36 @@ def test_zero_seconds_budget_raises_serial_and_parallel():
         list(enumerate_rainbow_free(d, 10, SearchBudget(max_seconds=0)))
 
 
+def _add_nodes(times):
+    from schurgrid import search
+
+    meter = search._job[3]
+    for _ in range(times):
+        meter.add(1)
+
+
+def test_meter_sums_nodes_from_more_workers_than_cores():
+    # a lost update between the workers' read-modify-writes would lose nodes
+    from concurrent.futures import ProcessPoolExecutor
+
+    from schurgrid import search
+
+    meter = search._Meter(SearchBudget(threads=4))
+    job = ([], [], 1, meter)
+    with ProcessPoolExecutor(4, initializer=search._adopt, initargs=job) as pool:
+        list(pool.map(_add_nodes, [2000] * 8, timeout=60))
+    assert meter.nodes.value == 8 * 2000
+
+
 def test_rb_scan_rejects_non_monotone_engine(monkeypatch):
     # an engine that claims exhaustion at every r, rb - 1 included, drives
     # the scan down to r = 1, where a witness must exist
     from schurgrid import search
 
-    def exhausted(dims, r, budget=None, order="row", interval=False):
+    def exhausted(dims, r, meter, order, interval):
         return Certificate("exhaustion", dims, r, None, 0, ENGINE_VERSION)
 
-    monkeypatch.setattr(search, "exists_rainbow_free", exhausted)
+    monkeypatch.setattr(search, "_decide", exhausted)
     with pytest.raises(RuntimeError, match="monotonicity"):
         rb_search(GridDims(2, 3))
 
@@ -112,6 +136,33 @@ def test_budget_cut_gives_bracketing_result():
     assert not res.complete
     assert res.rb_value is None
     assert res.lo <= 9 <= res.hi
+    if res.witness is not None:
+        assert res.witness.kind == "witness" and res.witness.r == res.lo - 1
+    if res.exhaustion is not None:
+        assert res.exhaustion.kind == "exhaustion" and res.exhaustion.r == res.hi
+
+
+def test_rb_scan_budget_covers_every_r():
+    # r = 9 (151,312 nodes) fits under the cap, r = 8 (10,939 more) does not
+    res = rb_search(GridDims(4, 4), SearchBudget(max_nodes=155_000))
+    assert not res.complete
+    assert res.exhaustion is not None and res.exhaustion.r == res.hi == 9
+    assert 155_000 <= res.nodes <= 155_000 + _FLUSH_EVERY
+
+
+def test_node_cap_is_shared_by_workers():
+    d = GridDims(4, 5)  # r = 10 is an exhaustion of about 2.5M nodes
+    with pytest.raises(BudgetExceeded) as info:
+        exists_rainbow_free(d, 10, SearchBudget(max_nodes=200_000, threads=2))
+    assert 200_000 <= info.value.nodes <= 200_000 + 2 * _FLUSH_EVERY
+
+
+def test_deadline_is_shared_by_workers():
+    d = GridDims(5, 5)  # r = 11 is an exhaustion of tens of seconds
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        exists_rainbow_free(d, 11, SearchBudget(max_seconds=0.5, threads=2))
+    assert time.monotonic() - t0 < 1.5
 
 
 def test_enumerate_yields_canonical_exact_rainbow_free():
