@@ -80,8 +80,7 @@ class RegionMask:
     monochromatic (no s2).
 
     The literal text of the Y2 bound compares the column against m; the
-    intended region is the top-right corner, which needs n. The default
-    uses n; literal_y reproduces the text reading.
+    intended region is the top-right corner, which needs n.
     """
 
     defined: bool
@@ -100,7 +99,7 @@ class RegionMask:
         return self.y1 | self.y2
 
 
-def region_mask(c: Coloring, literal_y: bool = False) -> RegionMask:
+def region_mask(c: Coloring) -> RegionMask:
     dims = c.dims
     ss = s_sequence(c)
     if ss.ell < 2:
@@ -108,7 +107,6 @@ def region_mask(c: Coloring, literal_y: bool = False) -> RegionMask:
     s2 = ss.values[1]
     step = GridPoint(s2, s2)
     w1, w2, y1, y2 = set(), set(), set(), set()
-    col_bound = dims.m if literal_y else dims.n
     for p in dims.cells():
         if dims.contains(p + step):
             w1.add(p)
@@ -116,7 +114,7 @@ def region_mask(c: Coloring, literal_y: bool = False) -> RegionMask:
             w2.add(p)
         if p.i + s2 > dims.m and p.j < s2:
             y1.add(p)
-        if p.i < s2 and p.j + s2 > col_bound:
+        if p.i < s2 and p.j + s2 > dims.n:
             y2.add(p)
     return RegionMask(True, s2, frozenset(w1), frozenset(w2), frozenset(y1), frozenset(y2))
 
@@ -634,11 +632,14 @@ LEMMA_CHECKS: dict[str, Callable[[_Ctx], LemmaVerdict]] = {
 }
 
 
+def _verdicts(ctx: _Ctx) -> list[LemmaVerdict]:
+    return [check(ctx) for check in LEMMA_CHECKS.values()]
+
+
 def lemma_suite(c: Coloring, interval: bool = False) -> list[LemmaVerdict]:
     """Evaluate every registered structural law on one coloring. Laws whose
     hypotheses fail report applicable=False with the reason."""
-    ctx = _Ctx(c, interval)
-    return [check(ctx) for check in LEMMA_CHECKS.values()]
+    return _verdicts(_Ctx(c, interval))
 
 
 def check_lemma(name: str, c: Coloring, interval: bool = False) -> LemmaVerdict:
@@ -716,7 +717,7 @@ def structure_report(c: Coloring, interval: bool = False) -> dict:
                 "holds": v.holds,
                 "detail": v.detail,
             }
-            for v in lemma_suite(c, interval)
+            for v in _verdicts(ctx)
         ],
     }
 

@@ -152,3 +152,29 @@ def test_structure_report_shape():
     assert {v["lemma"] for v in rep["verdicts"]} == set(LEMMA_CHECKS)
     parsed = json.loads(structure_report_json(c))
     assert parsed == rep
+
+
+def test_structure_report_runs_each_sweep_once(monkeypatch):
+    # the report and its verdicts share one context: one rainbow sweep and
+    # one contributing map per report
+    from schurgrid import analyzer
+    from schurgrid.solutions import SolutionIndex
+
+    c = lower_bound_coloring(GridDims(5, 7))
+    calls = {"find_rainbow": 0, "contributing_map": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        SolutionIndex, "find_rainbow", counted("find_rainbow", SolutionIndex.find_rainbow)
+    )
+    monkeypatch.setattr(
+        analyzer, "contributing_map", counted("contributing_map", analyzer.contributing_map)
+    )
+    structure_report(c)
+    assert calls == {"find_rainbow": 1, "contributing_map": 1}

@@ -12,6 +12,10 @@ from schurgrid.search import (
     _FLUSH_EVERY,
     BudgetExceeded,
     SearchBudget,
+    _build_checks,
+    _Meter,
+    _search,
+    assignment_order,
     enumerate_rainbow_free,
     exists_rainbow_free,
     naive_oracle,
@@ -43,6 +47,7 @@ def test_witness_certificates_verify():
     assert cert.verify()
     assert is_exact(cert.coloring)
     assert is_rainbow_free(cert.coloring, solution_index(d))
+    assert canonicalize(cert.coloring).cells == cert.coloring.cells
 
 
 def test_r_bounds():
@@ -85,11 +90,11 @@ def test_rb_convention_cases_use_vacuous_exhaustion():
 
 def test_node_budget_raises():
     with pytest.raises(BudgetExceeded):
-        exists_rainbow_free(GridDims(4, 4), 8, SearchBudget(max_nodes=1))
+        exists_rainbow_free(GridDims(4, 5), 10, SearchBudget(max_nodes=1))  # 45,226 nodes
 
 
 def test_zero_seconds_budget_raises_serial_and_parallel():
-    d = GridDims(4, 5)  # r = 10 is an exhaustion of about 2.5M nodes
+    d = GridDims(4, 5)  # r = 10 is an exhaustion of 45,226 nodes
     for threads in (1, 2):
         with pytest.raises(BudgetExceeded):
             exists_rainbow_free(d, 10, SearchBudget(max_seconds=0, threads=threads))
@@ -123,7 +128,7 @@ def test_rb_scan_rejects_non_monotone_engine(monkeypatch):
     # the scan down to r = 1, where a witness must exist
     from schurgrid import search
 
-    def exhausted(dims, r, meter, order, interval):
+    def exhausted(dims, r, meter, interval):
         return Certificate("exhaustion", dims, r, None, 0, ENGINE_VERSION)
 
     monkeypatch.setattr(search, "_decide", exhausted)
@@ -143,25 +148,25 @@ def test_budget_cut_gives_bracketing_result():
 
 
 def test_rb_scan_budget_covers_every_r():
-    # r = 9 (151,312 nodes) fits under the cap, r = 8 (10,939 more) does not
-    res = rb_search(GridDims(4, 4), SearchBudget(max_nodes=155_000))
+    # r = 10 (43,527 nodes) fits under the cap, r = 9 (22,354 more) does not
+    res = rb_search(GridDims(3, 6), SearchBudget(max_nodes=50_000))
     assert not res.complete
-    assert res.exhaustion is not None and res.exhaustion.r == res.hi == 9
-    assert 155_000 <= res.nodes <= 155_000 + _FLUSH_EVERY
+    assert res.exhaustion is not None and res.exhaustion.r == res.hi == 10
+    assert 50_000 <= res.nodes <= 50_000 + _FLUSH_EVERY
 
 
 def test_node_cap_is_shared_by_workers():
-    d = GridDims(4, 5)  # r = 10 is an exhaustion of about 2.5M nodes
+    d = GridDims(5, 6)  # r = 12 is an exhaustion of 4,349,072 nodes
     with pytest.raises(BudgetExceeded) as info:
-        exists_rainbow_free(d, 10, SearchBudget(max_nodes=200_000, threads=2))
+        exists_rainbow_free(d, 12, SearchBudget(max_nodes=200_000, threads=2))
     assert 200_000 <= info.value.nodes <= 200_000 + 2 * _FLUSH_EVERY
 
 
 def test_deadline_is_shared_by_workers():
-    d = GridDims(5, 5)  # r = 11 is an exhaustion of tens of seconds
+    d = GridDims(6, 6)  # r = 13 is an exhaustion of 93.7M nodes, about a minute
     t0 = time.monotonic()
     with pytest.raises(BudgetExceeded):
-        exists_rainbow_free(d, 11, SearchBudget(max_seconds=0.5, threads=2))
+        exists_rainbow_free(d, 13, SearchBudget(max_seconds=0.5, threads=2))
     assert time.monotonic() - t0 < 1.5
 
 
@@ -211,11 +216,21 @@ def test_parallel_matches_single_threaded():
 
 
 def test_diagonal_assignment_order_same_answers():
-    d = GridDims(3, 3)
-    for r in range(2, 8):
-        a = exists_rainbow_free(d, r, order="row").kind
-        b = exists_rainbow_free(d, r, order="diagonal").kind
-        assert a == b
+    # row-major is a test-only reference order; 3x4 has 12 cells, past the
+    # naive oracle's cap
+    for d in (GridDims(3, 3), GridDims(3, 4)):
+        idx = solution_index(d)
+        for r in range(2, d.m + d.n + 2):
+            found = [
+                _search(order, _build_checks(idx, order), r, _Meter(None)) is not None
+                for order in (assignment_order(d), list(range(d.cell_count)))
+            ]
+            assert found[0] == found[1]
+
+
+def test_rb_scan_reaches_3x7_within_a_million_nodes():
+    res = rb_search(GridDims(3, 7), SearchBudget(max_nodes=1_000_000))
+    assert res.complete and res.rb_value == 11
 
 
 def test_naive_oracle_cell_cap():
