@@ -10,6 +10,7 @@ so verdicts are bit-exact.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -93,10 +94,6 @@ class RegionMask:
     @property
     def w(self) -> frozenset[GridPoint]:
         return self.w1 | self.w2
-
-    @property
-    def y(self) -> frozenset[GridPoint]:
-        return self.y1 | self.y2
 
 
 def region_mask(c: Coloring) -> RegionMask:
@@ -293,132 +290,138 @@ class _Ctx:
         return find_disjoint_corners(self.c, self.mask, self.pairs)
 
     @cached_property
-    def jumps(self) -> list[tuple[GridPoint, GridPoint]]:
-        pts = list(self.dims.cells())
-        return [
-            (p, q)
-            for p in pts
-            for q in pts
-            if p.i < q.i and p.j < q.j
-        ]
-
     def off_palette_jumps(self) -> list[tuple[GridPoint, GridPoint]]:
+        """Pairs p < q (strictly in both coordinates) of distinct colors
+        outside the main-diagonal palette."""
         main = self.cmap.main_palette
+        pts = list(self.dims.cells())
         out = []
-        for p, q in self.jumps:
-            cp, cq = self.c.color_at(p), self.c.color_at(q)
-            if cp not in main and cq not in main and cp != cq:
-                out.append((p, q))
+        for p in pts:
+            for q in pts:
+                if p.i < q.i and p.j < q.j:
+                    cp, cq = self.c.color_at(p), self.c.color_at(q)
+                    if cp not in main and cq not in main and cp != cq:
+                        out.append((p, q))
         return out
 
-    def target_hypothesis(self, min_m: int = 3) -> tuple[bool, str]:
-        """Exact rainbow-free (m+n+1)-coloring with min_m <= m <= n."""
-        if self.interval:
-            return False, "interval mode"
-        if self.dims.m < min_m:
-            return False, f"needs m >= {min_m}"
-        if not self.exact:
-            return False, "coloring not exact"
-        if self.c.r != self.dims.m + self.dims.n + 1:
-            return False, f"needs r = m+n+1 = {self.dims.m + self.dims.n + 1}"
-        if not self.rainbow_free:
-            return False, "coloring has a rainbow solution"
-        return True, ""
+
+# A guard gives the reason its law does not apply to a coloring, or "".
+_Guard = Callable[[_Ctx], str]
+# A law body gives (holds, detail), or (None, reason) when the law's own
+# extra precondition fails.
+_Outcome = tuple[Optional[bool], str]
+
+LEMMA_CHECKS: dict[str, Callable[[_Ctx], LemmaVerdict]] = {}
 
 
-def _na(lemma_id: str, reason: str) -> LemmaVerdict:
-    return LemmaVerdict(lemma_id, applicable=False, holds=None, detail=reason)
+def _grid_only(ctx: _Ctx) -> str:
+    return "interval mode" if ctx.interval else ""
 
 
-def _check_s_doubling(ctx: _Ctx) -> LemmaVerdict:
-    lid = "s-doubling"
-    if not ctx.rainbow_free:
-        return _na(lid, "coloring has a rainbow solution")
+def _rainbow_free(ctx: _Ctx) -> str:
+    return "" if ctx.rainbow_free else "coloring has a rainbow solution"
+
+
+def _target(min_m: int) -> _Guard:
+    """Exact rainbow-free (m+n+1)-coloring with min_m <= m <= n."""
+
+    def guard(ctx: _Ctx) -> str:
+        dims = ctx.dims
+        if ctx.interval:
+            return "interval mode"
+        if dims.m < min_m:
+            return f"needs m >= {min_m}"
+        if not ctx.exact:
+            return "coloring not exact"
+        if ctx.c.r != dims.m + dims.n + 1:
+            return f"needs r = m+n+1 = {dims.m + dims.n + 1}"
+        return _rainbow_free(ctx)
+
+    return guard
+
+
+def _law(lemma_id: str, *guards: _Guard):
+    """Register a law in LEMMA_CHECKS. Its guards run in order before its
+    body; the first that gives a reason makes the law not applicable."""
+
+    def register(body: Callable[[_Ctx], _Outcome]) -> Callable[[_Ctx], LemmaVerdict]:
+        def check(ctx: _Ctx) -> LemmaVerdict:
+            for guard in guards:
+                reason = guard(ctx)
+                if reason:
+                    return LemmaVerdict(lemma_id, False, None, reason)
+            holds, detail = body(ctx)
+            return LemmaVerdict(lemma_id, holds is not None, holds, detail)
+
+        LEMMA_CHECKS[lemma_id] = check
+        return check
+
+    return register
+
+
+@_law("s-doubling", _rainbow_free)
+def _check_s_doubling(ctx: _Ctx) -> _Outcome:
     v = ctx.ss.values
     for i in range(len(v) - 1):
         if v[i + 1] < 2 * v[i]:
-            return LemmaVerdict(lid, True, False, f"s{i+2}={v[i+1]} < 2*s{i+1}={2*v[i]}")
+            return False, f"s{i+2}={v[i+1]} < 2*s{i+1}={2*v[i]}"
     for i, x in enumerate(v):
         if x < 1 << i:
-            return LemmaVerdict(lid, True, False, f"s{i+1}={x} < 2^{i}")
-    return LemmaVerdict(lid, True, True)
+            return False, f"s{i+1}={x} < 2^{i}"
+    return True, ""
 
 
-def _check_s2_power(ctx: _Ctx) -> LemmaVerdict:
-    lid = "s2-power-bound"
-    if not ctx.rainbow_free:
-        return _na(lid, "coloring has a rainbow solution")
+@_law("s2-power-bound", _rainbow_free)
+def _check_s2_power(ctx: _Ctx) -> _Outcome:
     ell = ctx.ss.ell
     if ell < 2:
-        return LemmaVerdict(lid, True, True, "single color, bound vacuous")
+        return True, "single color, bound vacuous"
     s2 = ctx.ss.values[1]
-    ok = s2 * (1 << (ell - 2)) <= ctx.length_bound
-    return LemmaVerdict(lid, True, ok, f"s2={s2}, ell={ell}")
+    return s2 * (1 << (ell - 2)) <= ctx.length_bound, f"s2={s2}, ell={ell}"
 
 
-def _check_palette_cap(ctx: _Ctx) -> LemmaVerdict:
-    lid = "main-palette-cap"
-    if not ctx.rainbow_free:
-        return _na(lid, "coloring has a rainbow solution")
+@_law("main-palette-cap", _rainbow_free)
+def _check_palette_cap(ctx: _Ctx) -> _Outcome:
     ell = ctx.ss.ell
     bound = ctx.length_bound
     ok = ell <= bound.bit_length()
     if ok and ell >= 2:
         # the sharper form: ell <= log2(bound / s2) + 2
         ok = ctx.ss.values[1] * (1 << (ell - 2)) <= bound
-    return LemmaVerdict(lid, True, ok, f"ell={ell}, floor(log2)+1={bound.bit_length()}")
+    return ok, f"ell={ell}, floor(log2)+1={bound.bit_length()}"
 
 
-def _check_one_extra_color(ctx: _Ctx) -> LemmaVerdict:
-    lid = "one-extra-color"
-    if ctx.interval:
-        return _na(lid, "interval mode")
-    if not ctx.rainbow_free:
-        return _na(lid, "coloring has a rainbow solution")
+@_law("one-extra-color", _grid_only, _rainbow_free)
+def _check_one_extra_color(ctx: _Ctx) -> _Outcome:
     for k, d in ctx.cmap.diagonals.items():
         if len(d.extra_colors) > 1:
-            return LemmaVerdict(lid, True, False, f"diagonal {k} carries extras {sorted(d.extra_colors)}")
-    return LemmaVerdict(lid, True, True)
+            return False, f"diagonal {k} carries extras {sorted(d.extra_colors)}"
+    return True, ""
 
 
-def _check_noncontributing_cap(ctx: _Ctx) -> LemmaVerdict:
-    lid = "noncontributing-cap"
-    ok, why = ctx.target_hypothesis()
-    if not ok:
-        return _na(lid, why)
+@_law("noncontributing-cap", _target(3))
+def _check_noncontributing_cap(ctx: _Ctx) -> _Outcome:
     bad = ctx.cmap.noncontributing_indices()
     cap = ctx.ss.ell - 3
-    return LemmaVerdict(lid, True, len(bad) <= cap, f"{len(bad)} noncontributing, cap {cap}")
+    return len(bad) <= cap, f"{len(bad)} noncontributing, cap {cap}"
 
 
-def _check_palette_at_least_three(ctx: _Ctx) -> LemmaVerdict:
-    lid = "palette-at-least-three"
-    ok, why = ctx.target_hypothesis()
-    if not ok:
-        return _na(lid, why)
-    return LemmaVerdict(lid, True, ctx.ss.ell >= 3, f"ell={ctx.ss.ell}")
+@_law("palette-at-least-three", _target(3))
+def _check_palette_at_least_three(ctx: _Ctx) -> _Outcome:
+    return ctx.ss.ell >= 3, f"ell={ctx.ss.ell}"
 
 
-def _check_no_disjoint_corners(ctx: _Ctx) -> LemmaVerdict:
-    lid = "no-disjoint-corners"
-    if ctx.interval:
-        return _na(lid, "interval mode")
-    if not ctx.rainbow_free:
-        return _na(lid, "coloring has a rainbow solution")
+@_law("no-disjoint-corners", _grid_only, _rainbow_free)
+def _check_no_disjoint_corners(ctx: _Ctx) -> _Outcome:
     if not ctx.mask.defined:
-        return LemmaVerdict(lid, True, True, "W undefined, vacuously true")
+        return True, "W undefined, vacuously true"
     n_all = len(ctx.corners)
     n_strict = sum(1 for x in ctx.corners if x.strict_colors)
-    return LemmaVerdict(
-        lid, True, n_all == 0, f"{n_all} corners ({n_strict} with 4 distinct colors)"
-    )
+    return n_all == 0, f"{n_all} corners ({n_strict} with 4 distinct colors)"
 
 
-def _check_offdiag_color_budget(ctx: _Ctx) -> LemmaVerdict:
-    lid = "offdiagonal-color-budget"
-    ok, why = ctx.target_hypothesis()
-    if not ok:
-        return _na(lid, why)
+@_law("offdiagonal-color-budget", _target(3))
+def _check_offdiag_color_budget(ctx: _Ctx) -> _Outcome:
     dims = ctx.dims
     main = ctx.cmap.main_palette
     off_colors = len(set(ctx.c.cells) - main)
@@ -428,15 +431,12 @@ def _check_offdiag_color_budget(ctx: _Ctx) -> LemmaVerdict:
         dd = len(delta_sets(p, dims).dd)
         # off_colors <= m + n - 1/2 - |dd|/3, cross-multiplied by 6
         if 6 * off_colors > 6 * (dims.m + dims.n) - 3 - 2 * dd:
-            return LemmaVerdict(lid, True, False, f"delta={p}, |dd|={dd}, off colors {off_colors}")
-    return LemmaVerdict(lid, True, True)
+            return False, f"delta={p}, |dd|={dd}, off colors {off_colors}"
+    return True, ""
 
 
-def _check_jump_distance_lower(ctx: _Ctx) -> LemmaVerdict:
-    lid = "jump-distance-lower"
-    ok, why = ctx.target_hypothesis()
-    if not ok:
-        return _na(lid, why)
+@_law("jump-distance-lower", _target(3))
+def _check_jump_distance_lower(ctx: _Ctx) -> _Outcome:
     dims = ctx.dims
     main = ctx.cmap.main_palette
     floor_log = dims.m.bit_length()  # floor(log2 m) + 1
@@ -444,34 +444,27 @@ def _check_jump_distance_lower(ctx: _Ctx) -> LemmaVerdict:
         if ctx.c.color_at(p) in main:
             continue
         if 4 * (p.i + p.j) < 4 * dims.m + 9 - 6 * floor_log:
-            return LemmaVerdict(lid, True, False, f"delta={p} too short")
-    return LemmaVerdict(lid, True, True)
+            return False, f"delta={p} too short"
+    return True, ""
 
 
-def _check_jump_distance_upper(ctx: _Ctx) -> LemmaVerdict:
-    lid = "jump-distance-upper"
-    ok, why = ctx.target_hypothesis()
-    if not ok:
-        return _na(lid, why)
+@_law("jump-distance-upper", _target(3))
+def _check_jump_distance_upper(ctx: _Ctx) -> _Outcome:
     m = ctx.dims.m
-    for p, q in ctx.off_palette_jumps():
+    for p, q in ctx.off_palette_jumps:
         d = (q.i - p.i) + (q.j - p.j)
         # d <= 2 log2(m) + 1  <=>  2^(d-1) <= m^2
         if 1 << (d - 1) > m * m:
-            return LemmaVerdict(lid, True, False, f"jump {p}->{q} distance {d}")
-    return LemmaVerdict(lid, True, True)
+            return False, f"jump {p}->{q} distance {d}"
+    return True, ""
 
 
-def _check_no_offdiag_jumps(ctx: _Ctx) -> LemmaVerdict:
-    lid = "no-offdiagonal-jumps"
-    ok, why = ctx.target_hypothesis()
-    if not ok:
-        return _na(lid, why)
-    bad = ctx.off_palette_jumps()
-    if bad:
-        p, q = bad[0]
-        return LemmaVerdict(lid, True, False, f"jump {p}->{q} between distinct off-palette colors")
-    return LemmaVerdict(lid, True, True)
+@_law("no-offdiagonal-jumps", _target(3))
+def _check_no_offdiag_jumps(ctx: _Ctx) -> _Outcome:
+    if ctx.off_palette_jumps:
+        p, q = ctx.off_palette_jumps[0]
+        return False, f"jump {p}->{q} between distinct off-palette colors"
+    return True, ""
 
 
 def _count_consecutive_contributing(ctx: _Ctx) -> int:
@@ -484,118 +477,95 @@ def _count_consecutive_contributing(ctx: _Ctx) -> int:
     )
 
 
-def _check_consecutive_contributing(ctx: _Ctx) -> LemmaVerdict:
-    lid = "consecutive-contributing-pairs"
-    ok, why = ctx.target_hypothesis()
-    if not ok:
-        return _na(lid, why)
+@_law("consecutive-contributing-pairs", _target(3))
+def _check_consecutive_contributing(ctx: _Ctx) -> _Outcome:
     if ctx.ss.ell < 2:
-        return _na(lid, "s2 undefined")
+        return None, "s2 undefined"
     count = _count_consecutive_contributing(ctx)
     dims = ctx.dims
     s2 = ctx.ss.values[1]
     q = dims.m + dims.n - 2 - count
     # count >= m + n - 2 log2(m / s2) - 2  <=>  (m/s2)^2 >= 2^q
     holds = q <= 0 or dims.m * dims.m >= s2 * s2 * (1 << q)
-    return LemmaVerdict(lid, True, holds, f"{count} consecutive contributing pairs")
+    return holds, f"{count} consecutive contributing pairs"
 
 
-def _check_pair_count_cap(ctx: _Ctx) -> LemmaVerdict:
-    lid = "pair-count-cap"
-    ok, why = ctx.target_hypothesis()
-    if not ok:
-        return _na(lid, why)
+@_law("pair-count-cap", _target(3))
+def _check_pair_count_cap(ctx: _Ctx) -> _Outcome:
     nh = sum(1 for p in ctx.pairs if p.kind == "horizontal")
     nv = sum(1 for p in ctx.pairs if p.kind == "vertical")
     dims = ctx.dims
     holds = nh <= dims.n - 1 and nv <= dims.m - 1
-    return LemmaVerdict(lid, True, holds, f"{nh} horizontal, {nv} vertical")
+    return holds, f"{nh} horizontal, {nv} vertical"
 
 
-def _check_every_offdiag_contributes(ctx: _Ctx) -> LemmaVerdict:
-    lid = "every-offdiagonal-contributes"
-    ok, why = ctx.target_hypothesis()
-    if not ok:
-        return _na(lid, why)
+@_law("every-offdiagonal-contributes", _target(3))
+def _check_every_offdiag_contributes(ctx: _Ctx) -> _Outcome:
     if ctx.ss.ell != 3:
-        return _na(lid, f"needs 3 main-diagonal colors, got {ctx.ss.ell}")
-    from collections import Counter
-
+        return None, f"needs 3 main-diagonal colors, got {ctx.ss.ell}"
     counts = Counter(ctx.c.cells)
     for k, d in ctx.cmap.diagonals.items():
         if len(d.contributed_colors) != 1:
-            return LemmaVerdict(lid, True, False, f"diagonal {k} contributes {len(d.contributed_colors)} colors")
+            return False, f"diagonal {k} contributes {len(d.contributed_colors)} colors"
         (color,) = d.contributed_colors
         in_diag = sum(
             1 for p in diagonal_cells(k, ctx.dims) if ctx.c.color_at(p) == color
         )
         if counts[color] != in_diag:
-            return LemmaVerdict(lid, True, False, f"color {color} escapes diagonal {k}")
-    return LemmaVerdict(lid, True, True)
+            return False, f"color {color} escapes diagonal {k}"
+    return True, ""
 
 
-def _check_no_jumps_three_palette(ctx: _Ctx) -> LemmaVerdict:
-    lid = "no-jumps-three-palette"
-    ok, why = ctx.target_hypothesis()
-    if not ok:
-        return _na(lid, why)
+@_law("no-jumps-three-palette", _target(3))
+def _check_no_jumps_three_palette(ctx: _Ctx) -> _Outcome:
     if ctx.ss.ell != 3:
-        return _na(lid, f"needs 3 main-diagonal colors, got {ctx.ss.ell}")
-    bad = ctx.off_palette_jumps()
-    return LemmaVerdict(lid, True, not bad, f"{len(bad)} offending jumps")
+        return None, f"needs 3 main-diagonal colors, got {ctx.ss.ell}"
+    bad = ctx.off_palette_jumps
+    return not bad, f"{len(bad)} offending jumps"
 
 
-def _check_small_block_palette(ctx: _Ctx) -> LemmaVerdict:
-    lid = "small-block-palette"
-    ok, why = ctx.target_hypothesis()
-    if not ok:
-        return _na(lid, why)
+@_law("small-block-palette", _target(3))
+def _check_small_block_palette(ctx: _Ctx) -> _Outcome:
     if ctx.ss.ell < 3:
-        return _na(lid, "s3 undefined")
+        return None, "s3 undefined"
     s3 = ctx.ss.values[2]
     main = ctx.cmap.main_palette
     for i in range(1, min(s3, ctx.dims.m + 1)):
         for j in range(1, min(s3, ctx.dims.n + 1)):
             if ctx.c.color_at(GridPoint(i, j)) not in main:
-                return LemmaVerdict(lid, True, False, f"({i},{j}) colored outside the main palette")
-    return LemmaVerdict(lid, True, True)
+                return False, f"({i},{j}) colored outside the main palette"
+    return True, ""
 
 
-def _check_three_palette_rainbow(ctx: _Ctx) -> LemmaVerdict:
-    lid = "three-palette-rainbow"
+@_law("three-palette-rainbow")
+def _check_three_palette_rainbow(ctx: _Ctx) -> _Outcome:
     if ctx.interval:
-        return _na(lid, "interval mode")
+        return None, "interval mode"
     dims = ctx.dims
     if dims.m < 3:
-        return _na(lid, "needs m >= 3")
+        return None, "needs m >= 3"
     if not ctx.exact or ctx.c.r != dims.m + dims.n + 1:
-        return _na(lid, "needs an exact (m+n+1)-coloring")
+        return None, "needs an exact (m+n+1)-coloring"
     if ctx.ss.ell > 3:
-        return _na(lid, f"needs at most 3 main-diagonal colors, got {ctx.ss.ell}")
-    return LemmaVerdict(lid, True, not ctx.rainbow_free, "rainbow solution must exist")
+        return None, f"needs at most 3 main-diagonal colors, got {ctx.ss.ell}"
+    return not ctx.rainbow_free, "rainbow solution must exist"
 
 
-def _check_jump_diagonal_relation(ctx: _Ctx) -> LemmaVerdict:
-    lid = "jump-diagonal-relation"
-    ok, why = ctx.target_hypothesis()
-    if not ok:
-        return _na(lid, why)
+@_law("jump-diagonal-relation", _target(3))
+def _check_jump_diagonal_relation(ctx: _Ctx) -> _Outcome:
     dims = ctx.dims
-    for p, q in ctx.off_palette_jumps():
+    for p, q in ctx.off_palette_jumps:
         t = diagonal_index(q - p, dims)
         b = diagonal_index(q, dims)
         if 2 * dims.m - t != b:
-            return LemmaVerdict(lid, True, False, f"jump {p}->{q}: 2m-t={2*dims.m-t} != b={b}")
-    return LemmaVerdict(lid, True, True)
+            return False, f"jump {p}->{q}: 2m-t={2*dims.m-t} != b={b}"
+    return True, ""
 
 
-def _check_pair_exclusion(ctx: _Ctx) -> LemmaVerdict:
-    lid = "pair-exclusion"
-    ok, why = ctx.target_hypothesis(min_m=4)
-    if not ok:
-        return _na(lid, why)
+@_law("pair-exclusion", _target(4))
+def _check_pair_exclusion(ctx: _Ctx) -> _Outcome:
     if not ctx.mask.defined:
-        return _na(lid, "W undefined")
+        return None, "W undefined"
     w = ctx.mask.w
     s2 = ctx.mask.s2 or 0
     nh = sum(1 for p in ctx.pairs if p.kind == "horizontal")
@@ -603,33 +573,10 @@ def _check_pair_exclusion(ctx: _Ctx) -> LemmaVerdict:
     h_in_w = any(p.kind == "horizontal" and p.cells() & w for p in ctx.pairs)
     v_in_w = any(p.kind == "vertical" and p.cells() & w for p in ctx.pairs)
     if h_in_w and nv > 2 * s2 - 2:
-        return LemmaVerdict(lid, True, False, f"{nv} vertical pairs > {2*s2-2}")
+        return False, f"{nv} vertical pairs > {2*s2-2}"
     if v_in_w and nh > 2 * s2 - 2:
-        return LemmaVerdict(lid, True, False, f"{nh} horizontal pairs > {2*s2-2}")
-    return LemmaVerdict(lid, True, True)
-
-
-LEMMA_CHECKS: dict[str, Callable[[_Ctx], LemmaVerdict]] = {
-    "s-doubling": _check_s_doubling,
-    "s2-power-bound": _check_s2_power,
-    "main-palette-cap": _check_palette_cap,
-    "one-extra-color": _check_one_extra_color,
-    "noncontributing-cap": _check_noncontributing_cap,
-    "palette-at-least-three": _check_palette_at_least_three,
-    "no-disjoint-corners": _check_no_disjoint_corners,
-    "offdiagonal-color-budget": _check_offdiag_color_budget,
-    "jump-distance-lower": _check_jump_distance_lower,
-    "jump-distance-upper": _check_jump_distance_upper,
-    "no-offdiagonal-jumps": _check_no_offdiag_jumps,
-    "consecutive-contributing-pairs": _check_consecutive_contributing,
-    "pair-count-cap": _check_pair_count_cap,
-    "every-offdiagonal-contributes": _check_every_offdiag_contributes,
-    "no-jumps-three-palette": _check_no_jumps_three_palette,
-    "small-block-palette": _check_small_block_palette,
-    "three-palette-rainbow": _check_three_palette_rainbow,
-    "jump-diagonal-relation": _check_jump_diagonal_relation,
-    "pair-exclusion": _check_pair_exclusion,
-}
+        return False, f"{nh} horizontal pairs > {2*s2-2}"
+    return True, ""
 
 
 def _verdicts(ctx: _Ctx) -> list[LemmaVerdict]:
@@ -643,30 +590,12 @@ def lemma_suite(c: Coloring, interval: bool = False) -> list[LemmaVerdict]:
 
 
 def check_lemma(name: str, c: Coloring, interval: bool = False) -> LemmaVerdict:
-    if name not in LEMMA_CHECKS:
-        raise KeyError(name)
+    """One registered law on one coloring; KeyError for an unknown name."""
     return LEMMA_CHECKS[name](_Ctx(c, interval))
 
 
 # ---------------------------------------------------------------------------
 # report
-
-
-def relabel_main_palette_first(c: Coloring) -> Coloring:
-    """Permute colors so the main-diagonal palette becomes 1..ell in order
-    of first appearance along the diagonal, remaining colors numbered by
-    first appearance row-major."""
-    relabel: dict[int, int] = {}
-    for col in c.main_diagonal_colors():
-        if col not in relabel:
-            relabel[col] = len(relabel) + 1
-    for col in c.cells:
-        if col not in relabel:
-            relabel[col] = len(relabel) + 1
-    for col in range(1, c.r + 1):  # colors unused by a non-exact coloring
-        if col not in relabel:
-            relabel[col] = len(relabel) + 1
-    return Coloring(c.dims, tuple(relabel[x] for x in c.cells), c.r)
 
 
 def structure_report(c: Coloring, interval: bool = False) -> dict:

@@ -13,7 +13,7 @@ component-wise grid equation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .coloring import Coloring, is_exact
@@ -32,7 +32,6 @@ class Certificate:
     coloring: Optional[Coloring]
     nodes: int
     engine: str = ENGINE_VERSION
-    verified: bool = field(default=False, compare=False)
 
     @property
     def is_interval(self) -> bool:
@@ -75,11 +74,6 @@ class Certificate:
         (exact and rainbow-free); exhaustion claims are checked for
         structural consistency only (re-deriving them means re-searching).
         """
-        ok = self._verify()
-        self.verified = ok
-        return ok
-
-    def _verify(self) -> bool:
         if self.kind not in ("witness", "exhaustion"):
             return False
         cap = self.dims.cell_count

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .coloring import Coloring
 from .grid import GridDims
-from .solutions import interval_index, is_rainbow_free, solution_index
+from .solutions import grid_index, interval_index, is_rainbow_free
 
 
 def lower_bound_coloring(dims: GridDims, verify: bool = True) -> Coloring:
@@ -26,7 +26,7 @@ def lower_bound_coloring(dims: GridDims, verify: bool = True) -> Coloring:
             else:
                 cells.append(1)
     c = Coloring(dims, tuple(cells), m + n)
-    if verify and not is_rainbow_free(c, solution_index(dims)):
+    if verify and not is_rainbow_free(c, grid_index(dims.m, dims.n)):
         raise AssertionError("lower-bound construction produced a rainbow triple")
     return c
 

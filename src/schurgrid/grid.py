@@ -98,12 +98,6 @@ class SolutionTriple:
     gamma: GridPoint
     degenerate: bool
 
-    @classmethod
-    def of(cls, p: GridPoint, q: GridPoint) -> "SolutionTriple":
-        if q < p:
-            p, q = q, p
-        return cls(p, q, p + q, p == q)
-
     def cells(self) -> tuple[GridPoint, ...]:
         return (self.alpha, self.beta, self.gamma)
 

@@ -102,17 +102,13 @@ class SolutionIndex:
         ]
 
 
-def GridSolutionIndex(dims: GridDims) -> SolutionIndex:
-    return SolutionIndex(dims)
-
-
 def IntervalSolutionIndex(n: int) -> SolutionIndex:
     return SolutionIndex(GridDims(1, n), interval=True)
 
 
 @lru_cache(maxsize=64)
 def grid_index(m: int, n: int) -> SolutionIndex:
-    return GridSolutionIndex(GridDims(m, n))
+    return SolutionIndex(GridDims(m, n))
 
 
 @lru_cache(maxsize=64)
@@ -120,13 +116,9 @@ def interval_index(n: int) -> SolutionIndex:
     return IntervalSolutionIndex(n)
 
 
-def solution_index(dims: GridDims) -> SolutionIndex:
-    return grid_index(dims.m, dims.n)
-
-
 def index_for(dims: GridDims, interval: bool) -> SolutionIndex:
     """The cached index of [n] (on the 1-by-n carrier) or of the grid."""
-    return interval_index(dims.n) if interval else solution_index(dims)
+    return interval_index(dims.n) if interval else grid_index(dims.m, dims.n)
 
 
 def find_rainbow_solution(c: Coloring, index: SolutionIndex) -> Optional[SolutionTriple]:

@@ -3,6 +3,8 @@
 One certificate per line, keyed by (m, n, r, engine). Later lines win.
 Writers take an advisory lock so concurrent CLI runs do not interleave
 partial lines; readers skip lines that fail to parse instead of dying.
+A file is parsed once per state (inode, size, mtime), so an append by
+this or another process forces a re-read and nothing else does.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import fcntl
 import json
 import logging
-import os
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -19,13 +21,24 @@ from .grid import GridDims
 
 log = logging.getLogger(__name__)
 
-DEFAULT_CACHE_PATH = Path(os.environ.get("SCHURGRID_CACHE", "~/.schurgrid/certs.jsonl"))
+_Key = tuple[int, int, int, str]
 
 
-def _load(path: Path) -> dict[tuple[int, int, int, str], Certificate]:
-    out: dict[tuple[int, int, int, str], Certificate] = {}
+def _load(path: Path) -> dict[_Key, Certificate]:
+    path = path.expanduser()
     try:
-        lines = path.expanduser().read_text().splitlines()
+        st = path.stat()
+    except FileNotFoundError:
+        return {}
+    # stat before reading: a line appended in between only forces one more parse
+    return _parse(path, (st.st_ino, st.st_size, st.st_mtime_ns))
+
+
+@lru_cache(maxsize=1)
+def _parse(path: Path, stamp: tuple[int, int, int]) -> dict[_Key, Certificate]:
+    out: dict[_Key, Certificate] = {}
+    try:
+        lines = path.read_text().splitlines()
     except FileNotFoundError:
         return out
     for lineno, line in enumerate(lines, 1):
@@ -40,15 +53,14 @@ def _load(path: Path) -> dict[tuple[int, int, int, str], Certificate]:
     return out
 
 
-def cache_get(
-    dims: GridDims, r: int, engine: str, path: Optional[Path] = None
-) -> Optional[Certificate]:
-    path = path or DEFAULT_CACHE_PATH
+def cache_get(dims: GridDims, r: int, engine: str, path: Path) -> Optional[Certificate]:
+    """The latest certificate for the key, or None. Later lookups in the same
+    file state get the same instance, so callers must not mutate it."""
     return _load(path).get((dims.m, dims.n, r, engine))
 
 
-def cache_put(cert: Certificate, path: Optional[Path] = None) -> None:
-    path = (path or DEFAULT_CACHE_PATH).expanduser()
+def cache_put(cert: Certificate, path: Path) -> None:
+    path = path.expanduser()
     path.parent.mkdir(parents=True, exist_ok=True)
     line = cert.to_json() + "\n"
     with open(path, "a") as fh:

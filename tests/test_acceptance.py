@@ -34,7 +34,7 @@ from schurgrid.search import (
     rb_search,
     rb_search_interval,
 )
-from schurgrid.solutions import interval_index, is_rainbow_free, solution_index
+from schurgrid.solutions import grid_index, interval_index, is_rainbow_free
 
 
 @pytest.fixture
@@ -107,7 +107,7 @@ def test_criterion_03_lower_bound_construction(report):
         for n in range(m, 51):
             d = GridDims(m, n)
             c = lower_bound_coloring(d, verify=False)
-            idx = solution_index(d)
+            idx = grid_index(d.m, d.n)
             if c.r != m + n or len(set(c.cells)) != m + n:
                 failures.append((m, n, "not exact with m+n colors"))
                 continue

@@ -13,7 +13,6 @@ from schurgrid.analyzer import (
     find_pairs,
     lemma_suite,
     region_mask,
-    relabel_main_palette_first,
     structure_report,
     structure_report_json,
 )
@@ -136,11 +135,82 @@ def test_one_extra_color_on_lower_bound_construction():
     assert v.applicable and v.holds
 
 
-def test_relabel_main_palette_first():
-    c = Coloring(GridDims(2, 2), (3, 1, 2, 3), 3)
-    out = relabel_main_palette_first(c)
-    assert out.main_diagonal_colors() == (1, 1)
-    assert sorted(set(out.cells)) == [1, 2, 3]
+# Laws by guard family; three-palette-rainbow states its own hypotheses.
+_RAINBOW_FREE = ("s-doubling", "s2-power-bound", "main-palette-cap")
+_GRID_RAINBOW_FREE = ("one-extra-color", "no-disjoint-corners")
+_TARGET = (
+    "noncontributing-cap",
+    "palette-at-least-three",
+    "offdiagonal-color-budget",
+    "jump-distance-lower",
+    "jump-distance-upper",
+    "no-offdiagonal-jumps",
+    "consecutive-contributing-pairs",
+    "pair-count-cap",
+    "every-offdiagonal-contributes",
+    "no-jumps-three-palette",
+    "small-block-palette",
+    "jump-diagonal-relation",
+)
+
+
+def test_not_applicable_reasons_by_guard_family():
+    from schurgrid.constructions import valuation_coloring
+
+    # an exact 9-coloring of 4x4 with a monochromatic main diagonal; rb = 9,
+    # so it has a rainbow solution
+    rainbow = Coloring(GridDims(4, 4), (1, 2, 3, 4, 5, 1, 6, 7, 8, 9, 1, 1, 1, 1, 1, 1), 9)
+    exact_extremal = "needs an exact (m+n+1)-coloring"
+    cases = [
+        (
+            valuation_coloring(16),
+            True,
+            dict.fromkeys(
+                _GRID_RAINBOW_FREE + _TARGET + ("pair-exclusion", "three-palette-rainbow"),
+                "interval mode",
+            ),
+        ),
+        (
+            rainbow,
+            False,
+            dict.fromkeys(
+                _RAINBOW_FREE + _GRID_RAINBOW_FREE + _TARGET + ("pair-exclusion",),
+                "coloring has a rainbow solution",
+            ),
+        ),
+        (
+            lower_bound_coloring(GridDims(4, 4)),
+            False,
+            {
+                **dict.fromkeys(_TARGET + ("pair-exclusion",), "needs r = m+n+1 = 9"),
+                "three-palette-rainbow": exact_extremal,
+            },
+        ),
+        (
+            lower_bound_coloring(GridDims(2, 5)),
+            False,
+            {
+                **dict.fromkeys(_TARGET + ("three-palette-rainbow",), "needs m >= 3"),
+                "pair-exclusion": "needs m >= 4",
+            },
+        ),
+        (
+            lower_bound_coloring(GridDims(3, 5)),
+            False,
+            {
+                **dict.fromkeys(_TARGET, "needs r = m+n+1 = 9"),
+                "pair-exclusion": "needs m >= 4",
+                "three-palette-rainbow": exact_extremal,
+            },
+        ),
+    ]
+    assert set(_RAINBOW_FREE + _GRID_RAINBOW_FREE + _TARGET) | {
+        "pair-exclusion",
+        "three-palette-rainbow",
+    } == set(LEMMA_CHECKS)
+    for c, interval, want in cases:
+        got = {v.lemma_id: v.detail for v in lemma_suite(c, interval) if not v.applicable}
+        assert got == want, (c.dims, interval)
 
 
 def test_structure_report_shape():

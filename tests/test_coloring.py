@@ -15,7 +15,7 @@ from schurgrid.coloring import (
     s_sequence_of,
 )
 from schurgrid.grid import GridDims, GridPoint, SolutionTriple
-from schurgrid.solutions import is_rainbow_free, solution_index
+from schurgrid.solutions import grid_index, is_rainbow_free
 
 
 def test_validation():
@@ -82,7 +82,7 @@ def test_merge_preserves_rainbow_freeness(cells):
     # merging two color classes can only destroy rainbow triples
     d = GridDims(2, 4)
     c = Coloring(d, rgs_relabel(cells), len(set(cells)))
-    index = solution_index(d)
+    index = grid_index(d.m, d.n)
     if is_rainbow_free(c, index) and c.r >= 2:
         merged = merge_colors(c, c.r, 1)
         assert is_rainbow_free(merged, index)

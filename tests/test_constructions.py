@@ -11,7 +11,7 @@ from schurgrid.constructions import (
     valuation_coloring,
 )
 from schurgrid.grid import GridDims, GridPoint
-from schurgrid.solutions import interval_index, is_rainbow_free, solution_index
+from schurgrid.solutions import grid_index, interval_index, is_rainbow_free
 
 
 def test_lower_bound_coloring_shape():
@@ -27,7 +27,7 @@ def test_lower_bound_coloring_rainbow_free():
         for n in range(m, 8):
             d = GridDims(m, n)
             c = lower_bound_coloring(d)
-            assert is_rainbow_free(c, solution_index(d))
+            assert is_rainbow_free(c, grid_index(d.m, d.n))
 
 
 def test_lower_bound_coloring_rejects_single_row():
@@ -67,7 +67,7 @@ def test_closed_form_grid():
 def test_lower_bound_corners_unconstrained():
     # (1, n) and (m, 1) sit on no solution triple, so their colors are free
     d = GridDims(3, 4)
-    idx = solution_index(d)
+    idx = grid_index(d.m, d.n)
     corner_flats = {d.flat(GridPoint(1, 4)), d.flat(GridPoint(3, 1))}
     alpha, beta, gamma, _ = idx.arrays()
     touched = set(alpha.tolist()) | set(beta.tolist()) | set(gamma.tolist())

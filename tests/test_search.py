@@ -22,7 +22,7 @@ from schurgrid.search import (
     rb_search,
     rb_search_interval,
 )
-from schurgrid.solutions import is_rainbow_free, solution_index
+from schurgrid.solutions import grid_index, is_rainbow_free
 
 
 def test_oracle_agreement_sample():
@@ -46,7 +46,7 @@ def test_witness_certificates_verify():
     assert cert.kind == "witness"
     assert cert.verify()
     assert is_exact(cert.coloring)
-    assert is_rainbow_free(cert.coloring, solution_index(d))
+    assert is_rainbow_free(cert.coloring, grid_index(d.m, d.n))
     assert canonicalize(cert.coloring).cells == cert.coloring.cells
 
 
@@ -172,7 +172,7 @@ def test_deadline_is_shared_by_workers():
 
 def test_enumerate_yields_canonical_exact_rainbow_free():
     d = GridDims(2, 3)
-    idx = solution_index(d)
+    idx = grid_index(d.m, d.n)
     seen = set()
     for c in enumerate_rainbow_free(d, 3):
         assert is_exact(c)
@@ -187,7 +187,7 @@ def test_enumerate_count_matches_naive_partition_scan():
     from schurgrid.search import _partitions_into_blocks
 
     d = GridDims(2, 3)
-    idx = solution_index(d)
+    idx = grid_index(d.m, d.n)
     trips = [
         (d.flat(t.alpha), d.flat(t.beta), d.flat(t.gamma))
         for t in idx.triples()
@@ -219,7 +219,7 @@ def test_diagonal_assignment_order_same_answers():
     # row-major is a test-only reference order; 3x4 has 12 cells, past the
     # naive oracle's cap
     for d in (GridDims(3, 3), GridDims(3, 4)):
-        idx = solution_index(d)
+        idx = grid_index(d.m, d.n)
         for r in range(2, d.m + d.n + 2):
             found = [
                 _search(order, _build_checks(idx, order), r, _Meter(None)) is not None

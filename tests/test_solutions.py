@@ -7,14 +7,13 @@ from schurgrid.coloring import Coloring, is_rainbow
 from schurgrid.constructions import lower_bound_coloring, valuation_coloring
 from schurgrid.grid import GridDims, enumerate_solutions
 from schurgrid.solutions import (
-    GridSolutionIndex,
     IntervalSolutionIndex,
     SolutionIndex,
     find_rainbow_solution,
     grid_index,
+    index_for,
     interval_index,
     is_rainbow_free,
-    solution_index,
 )
 
 
@@ -22,7 +21,7 @@ def test_grid_index_matches_enumeration():
     for m in range(1, 7):
         for n in range(m, 9):
             d = GridDims(m, n)
-            idx = GridSolutionIndex(d)
+            idx = SolutionIndex(d)
             expected = enumerate_solutions(d)
             assert len(idx) == len(expected)
             arrays = idx.arrays()
@@ -68,7 +67,7 @@ def test_grid_find_rainbow_matches_triple_scan():
     rng = random.Random(7)
     for m, n in [(2, 3), (3, 3), (3, 5), (4, 4)]:
         d = GridDims(m, n)
-        idx = solution_index(d)
+        idx = grid_index(d.m, d.n)
         for _ in range(50):
             c = _random_coloring(d, rng.randint(2, d.cell_count), rng)
             found = find_rainbow_solution(c, idx)
@@ -103,7 +102,7 @@ def test_caches_return_same_object():
 def test_single_row_grid_is_trivially_rainbow_free():
     d = GridDims(1, 6)
     c = Coloring(d, (1, 2, 3, 4, 5, 6), 6)
-    assert is_rainbow_free(c, solution_index(d))
+    assert is_rainbow_free(c, grid_index(d.m, d.n))
     # the same cells seen as [6] with a + b = c do admit a rainbow
     assert not is_rainbow_free(c, interval_index(6))
 
@@ -121,3 +120,19 @@ def test_rainbow_checks_keep_memory_flat():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, (c.dims, peak)
+
+
+def test_cache_clear_drops_the_indexes_index_for_hands_out():
+    # search, certificates and the analyzer take their index from index_for;
+    # the benchmark starts each pass cold by clearing these two caches
+    d = GridDims(3, 4)
+    grid = index_for(d, False)
+    assert index_for(d, False) is grid is grid_index(3, 4)
+    grid_index.cache_clear()
+    assert index_for(d, False) is not grid
+
+    line = GridDims(1, 9)
+    interval = index_for(line, True)
+    assert index_for(line, True) is interval is interval_index(9)
+    interval_index.cache_clear()
+    assert index_for(line, True) is not interval

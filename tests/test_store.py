@@ -2,7 +2,7 @@
 
 import logging
 
-from schurgrid.certificates import ENGINE_VERSION
+from schurgrid.certificates import ENGINE_VERSION, Certificate
 from schurgrid.grid import GridDims
 from schurgrid.search import exists_rainbow_free
 from schurgrid.store import cache_get, cache_put
@@ -43,6 +43,7 @@ def test_cache_later_lines_win(tmp_path):
     path = tmp_path / "certs.jsonl"
     cert = exists_rainbow_free(GridDims(2, 3), 4)
     cache_put(cert, path)
+    assert cache_get(GridDims(2, 3), 4, ENGINE_VERSION, path) == cert
     newer = type(cert)(cert.kind, cert.dims, cert.r, cert.coloring, 999, cert.engine)
     cache_put(newer, path)
     got = cache_get(GridDims(2, 3), 4, ENGINE_VERSION, path)
@@ -51,3 +52,21 @@ def test_cache_later_lines_win(tmp_path):
 
 def test_cache_get_missing_file(tmp_path):
     assert cache_get(GridDims(2, 2), 3, ENGINE_VERSION, tmp_path / "nope.jsonl") is None
+
+
+def test_cache_get_parses_an_unchanged_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "certs.jsonl"
+    for r in (4, 5, 6):
+        cache_put(exists_rainbow_free(GridDims(2, 3), r), path)
+    parsed = []
+    from_json = Certificate.from_json
+
+    def counting(text):
+        parsed.append(text)
+        return from_json(text)
+
+    monkeypatch.setattr(Certificate, "from_json", counting)
+    for _ in range(4):
+        for r in (4, 5, 6):
+            assert cache_get(GridDims(2, 3), r, ENGINE_VERSION, path) is not None
+    assert len(parsed) == 3
