@@ -20,7 +20,7 @@ from .coloring import Coloring, is_exact
 from .grid import GridDims
 from .solutions import index_for, is_rainbow_free
 
-ENGINE_VERSION = "schurgrid-0.1.0"
+ENGINE_VERSION = "schurgrid-0.2.0"
 INTERVAL_ENGINE_VERSION = ENGINE_VERSION + "-interval"
 
 
@@ -55,6 +55,8 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
+        """Parse one certificate line. The engine field is required (KeyError
+        without it): a line with no engine cannot say which search made it."""
         obj = json.loads(text)
         dims = GridDims(int(obj["m"]), int(obj["n"]))
         coloring = None
@@ -66,7 +68,7 @@ class Certificate:
             r=int(obj["r"]),
             coloring=coloring,
             nodes=int(obj.get("nodes", 0)),
-            engine=str(obj.get("engine", ENGINE_VERSION)),
+            engine=str(obj["engine"]),
         )
 
     def verify(self) -> bool:

@@ -107,6 +107,7 @@ def _rb_result_dict(res: RbResult, closed: int) -> dict:
         "lo": res.lo,
         "hi": res.hi,
         "nodes": res.nodes,
+        "prunes": res.prunes,
         "witness": res.witness.to_json_dict() if res.witness else None,
         "exhaustion": res.exhaustion.to_json_dict() if res.exhaustion else None,
     }

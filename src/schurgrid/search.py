@@ -4,17 +4,26 @@ The engine walks restricted growth strings over one cell order, the main
 diagonal first and then the diagonals outward (see assignment_order), so
 each color-permutation class is visited exactly once; witnesses and
 enumerated colorings are relabeled to the row-major restricted growth
-string that coloring.py takes as canonical. A branch dies as soon as
-an assignment completes a rainbow triple, or when the cells left cannot
-cover the colors still unused. The incident-triple lists per cell are
-precomputed from SolutionIndex.arrays(); the inner loop touches only the
-triples completed by the cell just assigned.
+string that coloring.py takes as canonical.
+
+The walk forward checks (Haralick & Elliott, Artificial Intelligence 14,
+1980). Each unassigned cell keeps a bitmask domain of the colors it may
+still take. When a cell gets color c and a triple through it has one
+partner colored d != c and the other unassigned, that partner's domain
+narrows to {c, d}; a triple whose partners are both colored was narrowed
+this way before, so no assignment from a domain completes a rainbow. A
+branch dies when a domain empties, or when fewer unassigned cells keep a
+full domain than colors are still unused (a narrowed cell holds only used
+colors). Narrowings are undone from a trail. Per cell position, the
+partner pairs of the triples it can narrow are precomputed from
+SolutionIndex.arrays().
 
 Multi-worker runs split the tree at a shallow depth into independent
-prefix tasks executed in separate processes; exhaustion requires all tasks
-to finish, and a witness stops the other workers at their next budget
-check. A SearchBudget bounds the whole public call: every r of an rb scan
-and every worker spend from one node count and one deadline.
+prefix tasks executed in separate processes, each replaying its prefix
+through the same propagation; exhaustion requires all tasks to finish,
+and a witness stops the other workers at their next budget check. A
+SearchBudget bounds the whole public call: every r of an rb scan and
+every worker spend from one node count and one deadline.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -61,18 +70,28 @@ _FLUSH_EVERY = 4096
 class _Meter:
     """One public call's budget as it is spent, in shared memory so that
     every r of a scan and every worker process spend from the same pool:
-    nodes so far, the node cap, one absolute deadline and a stop flag."""
+    nodes and prunes by cause so far, the node cap, one absolute deadline
+    and a stop flag."""
 
     def __init__(self, budget: Optional[SearchBudget]):
         budget = budget or SearchBudget()
         self.max_nodes, self.threads = budget.max_nodes, budget.threads
         self.deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
         self.nodes = multiprocessing.Value("q", 0)  # summed under its lock
+        self.prunes = multiprocessing.RawArray("q", 2)  # summed under the nodes' lock
         self.stopped = multiprocessing.RawValue("b", 0)  # set by a witness or a cut
 
-    def add(self, nodes: int) -> None:
+    def add(self, nodes: int, empty_domain: int = 0, fresh_capacity: int = 0) -> None:
         with self.nodes.get_lock():
             self.nodes.value += nodes
+            self.prunes[0] += empty_domain
+            self.prunes[1] += fresh_capacity
+
+    def prune_counts(self) -> dict[str, int]:
+        """Candidate colors rejected, by cause: a placement left a domain
+        empty, or too few unassigned cells could still take the colors not
+        yet used."""
+        return {"empty_domain": self.prunes[0], "fresh_capacity": self.prunes[1]}
 
     def go(self) -> bool:
         """True while the search may go on: not stopped, and the node cap
@@ -95,22 +114,17 @@ def assignment_order(dims: GridDims) -> list[int]:
 
 
 def _build_checks(index: SolutionIndex, order: list[int]) -> list[list[tuple[int, int]]]:
-    """checks[p] lists the (flat, flat) partner cells of every non-degenerate
-    triple completed by the cell assigned at position p."""
+    """checks[p] lists the (earlier, later) partner positions of every
+    non-degenerate triple whose middle cell in the walk's order sits at
+    position p. Under a fixed order only the middle cell's assignment finds
+    one partner colored and the other not, so only it can narrow a domain."""
     alpha, beta, gamma, degenerate = index.arrays()
     cells = np.stack([alpha, beta, gamma], axis=1)[~degenerate]
     pos_of = np.empty(len(order), dtype=np.intp)
     pos_of[order] = np.arange(len(order))
-    positions = pos_of[cells]
-    last = positions.argmax(axis=1)
-    rows = np.arange(len(cells))
     checks: list[list[tuple[int, int]]] = [[] for _ in order]
-    for p, f1, f2 in zip(
-        positions.max(axis=1).tolist(),
-        cells[rows, (last + 1) % 3].tolist(),
-        cells[rows, (last + 2) % 3].tolist(),
-    ):
-        checks[p].append((f1, f2))
+    for first, middle, last in np.sort(pos_of[cells], axis=1).tolist():
+        checks[middle].append((first, last))
     return checks
 
 
@@ -122,68 +136,94 @@ def _stream(
     stop_depth: Optional[int],
     meter: _Meter,
 ) -> Iterator[tuple[int, ...]]:
-    """Depth-first walk over canonical colorings. Yields full flat color
-    tuples, or consistent prefixes of length stop_depth when set. Ends
-    early, without a sign, when the meter stops or cuts the run."""
+    """Depth-first walk over canonical colorings, forward checking each
+    placement. Yields full flat color tuples, or consistent prefixes of
+    length stop_depth when set; the positions of prefix take its colors,
+    through the same propagation. Ends early, without a sign, when the
+    meter stops or cuts the run."""
     if not meter.go():
         return
     ncells = len(order)
-    colors = [0] * (max(order) + 1)
+    full = (2 << r) - 2  # color c is bit 1 << c
+    dom = [full] * ncells  # by position: the colors it may still take
+    bit = [0] * ncells  # by position: 1 << its color, once assigned
+    trail: list[tuple[int, int]] = []  # (position, domain before narrowing)
+    # per depth: colors used, unassigned full-domain cells, trail length,
+    # candidate bits left (-1 before the depth is entered)
     used_at = [0] * (ncells + 1)
-    choice = [1] * (ncells + 1)
-    for p, col in enumerate(prefix):
-        colors[order[p]] = col
-        used_at[p + 1] = max(used_at[p], col)
+    free_at = [ncells] * (ncells + 1)
+    mark = [0] * (ncells + 1)
+    cands = [-1] * (ncells + 1)
     base = len(prefix)
-    pos = base
-    choice[pos] = 1
     target = ncells if stop_depth is None else stop_depth
-    nodes_local = 0
+    nodes = empty = fresh = 0
+    pos = 0
     try:
-        while pos >= base:
-            if pos == target:
-                if stop_depth is not None:
-                    yield tuple(colors[order[p]] for p in range(pos))
-                elif used_at[pos] == r:
-                    yield tuple(colors)
+        while pos >= 0:
+            used = used_at[pos]
+            cand = cands[pos]
+            if cand < 0:
+                if pos == target:
+                    if stop_depth is not None:
+                        yield tuple(bit[p].bit_length() - 1 for p in range(pos))
+                    else:
+                        cells = [0] * ncells
+                        for p, cell in enumerate(order):
+                            cells[cell] = bit[p].bit_length() - 1
+                        yield tuple(cells)
+                    pos -= 1
+                    continue
+                d = dom[pos]
+                cand = d & ((4 << used) - 2)  # the RGS rule: colors 1..used + 1
+                if pos < base:
+                    cand &= 1 << prefix[pos]
+                if free_at[pos] - (d == full) < r - used:
+                    # a used color here leaves too few cells for the fresh ones
+                    fresh += (cand & ~(2 << used)).bit_count()
+                    cand &= 2 << used
+                mark[pos] = len(trail)
+            else:
+                keep = mark[pos]
+                while len(trail) > keep:
+                    q, old = trail.pop()
+                    dom[q] = old
+            if not cand:
                 pos -= 1
                 continue
-            used = used_at[pos]
-            c = choice[pos]
-            limit = used + 1 if used < r else r
-            placed = False
-            while c <= limit:
-                newused = used + 1 if c > used else used
-                if r - newused > ncells - pos - 1:
-                    c += 1
-                    continue
-                cell = order[pos]
-                colors[cell] = c
-                nodes_local += 1
-                ok = True
-                for f1, f2 in checks[pos]:
-                    c1 = colors[f1]
-                    c2 = colors[f2]
-                    if c1 != c2 and c1 != c and c2 != c:
-                        ok = False
-                        break
-                if ok:
-                    choice[pos] = c + 1
+            low = cand & -cand
+            cands[pos] = cand ^ low
+            bit[pos] = low
+            nodes += 1
+            free = free_at[pos] - (dom[pos] == full)
+            for a, b in checks[pos]:
+                ba = bit[a]
+                if ba != low:
+                    old = dom[b]
+                    new = old & (low | ba)
+                    if new != old:
+                        if not new:
+                            empty += 1
+                            break
+                        trail.append((b, old))
+                        dom[b] = new
+                        if old == full:
+                            free -= 1
+            else:
+                newused = used + 1 if low >> used > 1 else used
+                if free >= r - newused:
                     pos += 1
                     used_at[pos] = newused
-                    choice[pos] = 1
-                    placed = True
-                    break
-                c += 1
-            if not placed:
-                pos -= 1
-            if nodes_local >= _FLUSH_EVERY:
-                meter.add(nodes_local)
-                nodes_local = 0
+                    free_at[pos] = free
+                    cands[pos] = -1
+                else:
+                    fresh += 1
+            if nodes >= _FLUSH_EVERY:
+                meter.add(nodes, empty, fresh)
+                nodes = empty = fresh = 0
                 if not meter.go():
                     return
     finally:
-        meter.add(nodes_local)
+        meter.add(nodes, empty, fresh)
 
 
 def _engine(interval: bool) -> str:
@@ -354,6 +394,7 @@ class RbResult:
     hi: Optional[int] = None
     interval: bool = False
     nodes: int = 0  # spent by the whole scan, cut or complete
+    prunes: dict[str, int] = field(default_factory=dict)  # _Meter.prune_counts of the scan
 
 
 def _rb_scan(
@@ -395,12 +436,16 @@ def _rb_scan(
                 f"monotonicity violated by the engine: no witness at r = {r - 1} "
                 f"on {dims.m}x{dims.n}"
             )
-        return RbResult(dims, r, witness, cert_at(r), True, r, r, interval, meter.nodes.value)
+        return RbResult(
+            dims, r, witness, cert_at(r), True, r, r, interval, meter.nodes.value,
+            meter.prune_counts(),
+        )
     except BudgetExceeded:
         lo = max((rr + 1 for rr, c in certs.items() if c.kind == "witness"), default=2)
         hi = min((rr for rr, c in certs.items() if c.kind == "exhaustion"), default=cap + 1)
         return RbResult(
-            dims, None, certs.get(lo - 1), certs.get(hi), False, lo, hi, interval, meter.nodes.value
+            dims, None, certs.get(lo - 1), certs.get(hi), False, lo, hi, interval,
+            meter.nodes.value, meter.prune_counts(),
         )
 
 

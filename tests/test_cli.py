@@ -37,6 +37,15 @@ def test_rb_grid_json_stable(capsys):
     assert payload["rb"] == 6 and payload["match"] is True
 
 
+def test_rb_json_reports_prunes_by_cause(capsys):
+    for command, size in (("rb-grid", ["--m", "3", "--n", "4"]), ("rb-interval", ["--n", "20"])):
+        code, out, _ = run(capsys, command, *size, "--json")
+        assert code == 0
+        prunes = json.loads(out)["prunes"]
+        assert set(prunes) == {"empty_domain", "fresh_capacity"}
+        assert all(isinstance(v, int) for v in prunes.values()) and sum(prunes.values()) > 0
+
+
 def test_rb_interval(capsys):
     code, out, _ = run(capsys, "rb-interval", "--n", "8")
     assert code == 0

@@ -62,9 +62,9 @@ def test_r_bounds():
 
 
 def test_rb_search_small_grids():
-    for m, n in [(2, 2), (2, 3), (2, 4), (3, 3)]:
-        d = GridDims(m, n)
-        res = rb_search(d)
+    # every grid 2 <= m <= n with m * n <= 24, each scan well inside its cap
+    for d in (GridDims(m, n) for m in range(2, 5) for n in range(m, 24 // m + 1)):
+        res = rb_search(d, SearchBudget(max_nodes=500_000))
         assert res.complete
         assert res.rb_value == closed_form_rb_grid(d)
         assert res.witness.kind == "witness" and res.witness.r == res.rb_value - 1
@@ -73,10 +73,12 @@ def test_rb_search_small_grids():
 
 
 def test_rb_search_interval_small():
-    for n in range(1, 13):
-        res = rb_search_interval(n)
+    # [32] takes about 134k nodes, each scan well inside its cap
+    for n in range(1, 33):
+        res = rb_search_interval(n, SearchBudget(max_nodes=500_000))
         assert res.complete
         assert res.rb_value == closed_form_rb_interval(n)
+        assert res.witness.verify() and res.exhaustion.verify()
 
 
 def test_rb_convention_cases_use_vacuous_exhaustion():
@@ -90,11 +92,12 @@ def test_rb_convention_cases_use_vacuous_exhaustion():
 
 def test_node_budget_raises():
     with pytest.raises(BudgetExceeded):
-        exists_rainbow_free(GridDims(4, 5), 10, SearchBudget(max_nodes=1))  # 45,226 nodes
+        # r = 10 is an exhaustion of 4,293 nodes, past the first 4,096-node flush
+        exists_rainbow_free(GridDims(4, 5), 10, SearchBudget(max_nodes=1))
 
 
 def test_zero_seconds_budget_raises_serial_and_parallel():
-    d = GridDims(4, 5)  # r = 10 is an exhaustion of 45,226 nodes
+    d = GridDims(4, 5)  # r = 10 is an exhaustion of 4,293 nodes
     for threads in (1, 2):
         with pytest.raises(BudgetExceeded):
             exists_rainbow_free(d, 10, SearchBudget(max_seconds=0, threads=threads))
@@ -107,7 +110,7 @@ def _add_nodes(times):
 
     meter = search._job[3]
     for _ in range(times):
-        meter.add(1)
+        meter.add(1, 1, 2)
 
 
 def test_meter_sums_nodes_from_more_workers_than_cores():
@@ -121,6 +124,7 @@ def test_meter_sums_nodes_from_more_workers_than_cores():
     with ProcessPoolExecutor(4, initializer=search._adopt, initargs=job) as pool:
         list(pool.map(_add_nodes, [2000] * 8, timeout=60))
     assert meter.nodes.value == 8 * 2000
+    assert meter.prune_counts() == {"empty_domain": 8 * 2000, "fresh_capacity": 2 * 8 * 2000}
 
 
 def test_rb_scan_rejects_non_monotone_engine(monkeypatch):
@@ -148,25 +152,27 @@ def test_budget_cut_gives_bracketing_result():
 
 
 def test_rb_scan_budget_covers_every_r():
-    # r = 10 (43,527 nodes) fits under the cap, r = 9 (22,354 more) does not
-    res = rb_search(GridDims(3, 6), SearchBudget(max_nodes=50_000))
+    # r = 12 (62,250 nodes) fits under the cap, r = 11 (41,144 more) does not
+    res = rb_search(GridDims(3, 8), SearchBudget(max_nodes=70_000))
     assert not res.complete
-    assert res.exhaustion is not None and res.exhaustion.r == res.hi == 10
-    assert 50_000 <= res.nodes <= 50_000 + _FLUSH_EVERY
+    assert res.exhaustion is not None and res.exhaustion.r == res.hi == 12
+    assert 70_000 <= res.nodes <= 70_000 + _FLUSH_EVERY
+    # the cut scan keeps the prunes of every flush before the cut
+    assert all(count > 0 for count in res.prunes.values())
 
 
 def test_node_cap_is_shared_by_workers():
-    d = GridDims(5, 6)  # r = 12 is an exhaustion of 4,349,072 nodes
+    d = GridDims(6, 6)  # r = 13 is an exhaustion of 887,127 nodes
     with pytest.raises(BudgetExceeded) as info:
-        exists_rainbow_free(d, 12, SearchBudget(max_nodes=200_000, threads=2))
+        exists_rainbow_free(d, 13, SearchBudget(max_nodes=200_000, threads=2))
     assert 200_000 <= info.value.nodes <= 200_000 + 2 * _FLUSH_EVERY
 
 
 def test_deadline_is_shared_by_workers():
-    d = GridDims(6, 6)  # r = 13 is an exhaustion of 93.7M nodes, about a minute
+    d = GridDims(6, 7)  # r = 14 is an exhaustion of about 6.4M nodes, tens of seconds
     t0 = time.monotonic()
     with pytest.raises(BudgetExceeded):
-        exists_rainbow_free(d, 13, SearchBudget(max_seconds=0.5, threads=2))
+        exists_rainbow_free(d, 14, SearchBudget(max_seconds=0.5, threads=2))
     assert time.monotonic() - t0 < 1.5
 
 
@@ -231,6 +237,23 @@ def test_diagonal_assignment_order_same_answers():
 def test_rb_scan_reaches_3x7_within_a_million_nodes():
     res = rb_search(GridDims(3, 7), SearchBudget(max_nodes=1_000_000))
     assert res.complete and res.rb_value == 11
+
+
+def test_enumeration_class_counts():
+    # rainbow-free classes over every r = 1..cells
+    for m, n, classes in [(2, 3, 126), (3, 3, 2_041), (2, 4, 1_263), (3, 4, 30_239)]:
+        d = GridDims(m, n)
+        found = sum(
+            1 for r in range(1, d.cell_count + 1) for _ in enumerate_rainbow_free(d, r)
+        )
+        assert found == classes
+
+
+def test_prunes_are_counted_by_cause():
+    res = rb_search(GridDims(3, 6))
+    assert set(res.prunes) == {"empty_domain", "fresh_capacity"}
+    assert all(count > 0 for count in res.prunes.values())
+    assert rb_search(GridDims(3, 6)).prunes == res.prunes
 
 
 def test_naive_oracle_cell_cap():

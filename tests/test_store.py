@@ -39,6 +39,17 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     assert any("corrupt" in rec.message for rec in caplog.records)
 
 
+def test_cache_skips_lines_without_engine(tmp_path, caplog):
+    # a line that names no engine is not filed under the current one
+    path = tmp_path / "certs.jsonl"
+    cert = exists_rainbow_free(GridDims(2, 3), 6)
+    line = cert.to_json().replace(f', "engine": "{ENGINE_VERSION}"', "")
+    path.write_text(line + "\n")
+    with caplog.at_level(logging.WARNING, logger="schurgrid.store"):
+        assert cache_get(GridDims(2, 3), 6, ENGINE_VERSION, path) is None
+    assert any("corrupt" in rec.message for rec in caplog.records)
+
+
 def test_cache_later_lines_win(tmp_path):
     path = tmp_path / "certs.jsonl"
     cert = exists_rainbow_free(GridDims(2, 3), 4)
