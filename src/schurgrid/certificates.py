@@ -7,7 +7,9 @@ JSON schema (field order is fixed and byte-stable):
 The engine string doubles as the equation-domain marker: certificates about
 the interval [n] (Schur triples a + b = c) carry an "-interval" suffix and
 are re-verified against interval solutions; plain certificates use the
-component-wise grid equation.
+component-wise grid equation. Witnesses an rb scan takes from the paper's
+constructions instead of a search carry CONSTRUCTION_ENGINE (with the same
+suffix on [n]) and nodes = 0.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .solutions import index_for, is_rainbow_free
 
 ENGINE_VERSION = "schurgrid-0.2.0"
 INTERVAL_ENGINE_VERSION = ENGINE_VERSION + "-interval"
+CONSTRUCTION_ENGINE = "schurgrid-construction"
 
 
 @dataclass

@@ -18,6 +18,14 @@ colors). Narrowings are undone from a trail. Per cell position, the
 partner pairs of the triples it can narrow are precomputed from
 SolutionIndex.arrays().
 
+An rb scan searches only the exhaustion at the closed-form rb: the witness
+at rb - 1 is the paper's construction (lower_bound_coloring on grids,
+valuation_coloring on [n]), canonicalized and re-checked by
+Certificate.verify(), so the lower bound rests on an independently verified
+coloring and the upper bound on the search. Where no construction applies
+(m = 1 grids, [n] with n <= 2) the scan searches downward for the witness,
+and a witness at the closed form makes it climb by search.
+
 Multi-worker runs split the tree at a shallow depth into independent
 prefix tasks executed in separate processes, each replaying its prefix
 through the same propagation; exhaustion requires all tasks to finish,
@@ -36,9 +44,14 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .certificates import ENGINE_VERSION, INTERVAL_ENGINE_VERSION, Certificate
-from .coloring import Coloring, rgs_relabel
-from .constructions import closed_form_rb_grid, closed_form_rb_interval
+from .certificates import CONSTRUCTION_ENGINE, ENGINE_VERSION, Certificate
+from .coloring import Coloring, canonicalize, rgs_relabel
+from .constructions import (
+    closed_form_rb_grid,
+    closed_form_rb_interval,
+    lower_bound_coloring,
+    valuation_coloring,
+)
 from .grid import GridDims, diagonal_cells, enumerate_solutions
 from .solutions import SolutionIndex, index_for
 
@@ -226,8 +239,8 @@ def _stream(
         meter.add(nodes, empty, fresh)
 
 
-def _engine(interval: bool) -> str:
-    return INTERVAL_ENGINE_VERSION if interval else ENGINE_VERSION
+def _engine(interval: bool, base: str = ENGINE_VERSION) -> str:
+    return base + "-interval" if interval else base
 
 
 _job: tuple = ()  # (order, checks, r, meter) of the search a pool worker runs
@@ -397,6 +410,27 @@ class RbResult:
     prunes: dict[str, int] = field(default_factory=dict)  # _Meter.prune_counts of the scan
 
 
+def _construction(dims: GridDims, interval: bool) -> Optional[Coloring]:
+    """The paper's rainbow-free coloring with closed-form rb - 1 colors, or
+    None where none applies (m = 1 grids, [n] with n <= 2)."""
+    if interval:
+        return valuation_coloring(dims.n) if dims.n >= 3 else None
+    return lower_bound_coloring(dims, verify=False) if dims.m >= 2 else None
+
+
+def _construction_witness(dims: GridDims, r: int, interval: bool) -> Optional[Certificate]:
+    """The construction as a row-major canonical witness certificate at r,
+    or None unless Certificate.verify() passes: exact with r colors, and
+    rainbow-free."""
+    coloring = _construction(dims, interval)
+    if coloring is None:
+        return None
+    cert = Certificate(
+        "witness", dims, r, canonicalize(coloring), 0, _engine(interval, CONSTRUCTION_ENGINE)
+    )
+    return cert if cert.verify() else None
+
+
 def _rb_scan(
     dims: GridDims,
     budget: Optional[SearchBudget],
@@ -405,8 +439,12 @@ def _rb_scan(
     fetch=None,
     record=None,
 ) -> RbResult:
-    """fetch(r) may supply a precomputed Certificate (cache hook); record(cert)
-    is called for every freshly computed one."""
+    """Scan r from the closed-form guess. The construction's verified
+    witness stands for r = guess - 1, so the first search is the exhaustion
+    at guess; a witness there climbs by search, and without a construction
+    an exhaustion descends by search. fetch(r) may supply a precomputed
+    Certificate (cache hook); record(cert) is called for every freshly
+    computed one, the construction's included."""
     cap = dims.cell_count
     meter = _Meter(budget)
     certs: dict[int, Certificate] = {}
@@ -423,6 +461,11 @@ def _rb_scan(
         return certs[rr]
 
     r = max(2, min(guess, cap + 1))
+    seed = _construction_witness(dims, r - 1, interval)
+    if seed is not None:
+        certs[r - 1] = seed
+        if record is not None:
+            record(seed)
     try:
         if cert_at(r).kind == "witness":
             while cert_at(r).kind == "witness":
@@ -456,7 +499,9 @@ def rb_search(
     record=None,
 ) -> RbResult:
     """Exact rainbow number of the grid, with witness and exhaustion
-    certificates. Scans r outward from the closed-form prediction."""
+    certificates. The witness at m + n is lower_bound_coloring, verified;
+    the search decides r = m + n + 1 and, only if that is a witness, climbs.
+    m = 1 grids have no construction and are scanned by search alone."""
     return _rb_scan(dims, budget, False, closed_form_rb_grid(dims), fetch, record)
 
 
@@ -466,7 +511,10 @@ def rb_search_interval(
     fetch=None,
     record=None,
 ) -> RbResult:
-    """Exact rainbow number of [n] for a + b = c, via the 1-by-n carrier."""
+    """Exact rainbow number of [n] for a + b = c, via the 1-by-n carrier.
+    The witness at floor(log2 n) + 1 is valuation_coloring, verified; the
+    search decides the closed form. n <= 2 has no construction and is
+    scanned by search alone."""
     return _rb_scan(
         GridDims(1, n), budget, True, closed_form_rb_interval(n), fetch, record
     )

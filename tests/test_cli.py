@@ -46,6 +46,19 @@ def test_rb_json_reports_prunes_by_cause(capsys):
         assert all(isinstance(v, int) for v in prunes.values()) and sum(prunes.values()) > 0
 
 
+def test_rb_json_witness_is_the_tagged_construction(capsys):
+    for command, size, engine in (
+        ("rb-grid", ["--m", "3", "--n", "4"], "schurgrid-construction"),
+        ("rb-interval", ["--n", "20"], "schurgrid-construction-interval"),
+    ):
+        code, out, _ = run(capsys, command, *size, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["witness"]["engine"] == engine
+        assert payload["witness"]["nodes"] == 0
+        assert payload["exhaustion"]["nodes"] > 0
+
+
 def test_rb_interval(capsys):
     code, out, _ = run(capsys, "rb-interval", "--n", "8")
     assert code == 0
@@ -59,7 +72,8 @@ def test_rb_interval(capsys):
 
 
 def test_rb_grid_budget_indeterminate(capsys):
-    code, out, _ = run(capsys, "rb-grid", "--m", "4", "--n", "4", "--max-nodes", "1")
+    # r = 12 is an exhaustion of 106,574 nodes, cut at the first flush
+    code, out, _ = run(capsys, "rb-grid", "--m", "5", "--n", "6", "--max-nodes", "1")
     assert code == 3
     assert "indeterminate" in out
 
@@ -157,3 +171,5 @@ def test_cache_round(capsys, tmp_path):
     )
     assert code == 0
     assert "[cached]" in out2
+    engines = [json.loads(line)["engine"] for line in open(cache)]
+    assert engines[0] == "schurgrid-construction"

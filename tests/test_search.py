@@ -4,9 +4,18 @@ import time
 
 import pytest
 
-from schurgrid.certificates import ENGINE_VERSION, Certificate
-from schurgrid.coloring import canonicalize, is_exact
-from schurgrid.constructions import closed_form_rb_grid, closed_form_rb_interval
+from schurgrid.certificates import (
+    CONSTRUCTION_ENGINE,
+    ENGINE_VERSION,
+    INTERVAL_ENGINE_VERSION,
+    Certificate,
+)
+from schurgrid.coloring import Coloring, canonicalize, is_exact, merge_colors
+from schurgrid.constructions import (
+    closed_form_rb_grid,
+    closed_form_rb_interval,
+    lower_bound_coloring,
+)
 from schurgrid.grid import GridDims
 from schurgrid.search import (
     _FLUSH_EVERY,
@@ -61,24 +70,50 @@ def test_r_bounds():
         exists_rainbow_free(GridDims(2, 2), 0)
 
 
+def _scan_recording(scan, *args):
+    recorded: list[Certificate] = []
+    return scan(*args, record=recorded.append), recorded
+
+
+def _assert_witness_source(res, recorded, interval, construction):
+    """The witness at rb - 1 is the verified construction when one applies,
+    recorded before rb's exhaustion, the scan's only search; otherwise the
+    search found it."""
+    searched = INTERVAL_ENGINE_VERSION if interval else ENGINE_VERSION
+    assert res.exhaustion.engine == searched
+    if not construction:
+        assert res.witness.engine == searched
+        return
+    tag = CONSTRUCTION_ENGINE + "-interval" if interval else CONSTRUCTION_ENGINE
+    assert res.witness.engine == tag and res.witness.is_interval == interval
+    assert res.witness.nodes == 0
+    assert canonicalize(res.witness.coloring) == res.witness.coloring
+    assert recorded == [res.witness, res.exhaustion]
+    assert res.nodes == res.exhaustion.nodes
+
+
 def test_rb_search_small_grids():
-    # every grid 2 <= m <= n with m * n <= 24, each scan well inside its cap
-    for d in (GridDims(m, n) for m in range(2, 5) for n in range(m, 24 // m + 1)):
-        res = rb_search(d, SearchBudget(max_nodes=500_000))
+    # every grid m <= n with m * n <= 24, each scan well inside its cap; m = 1
+    # grids have no construction
+    for d in (GridDims(m, n) for m in range(1, 5) for n in range(m, 24 // m + 1)):
+        res, recorded = _scan_recording(rb_search, d, SearchBudget(max_nodes=500_000))
         assert res.complete
         assert res.rb_value == closed_form_rb_grid(d)
         assert res.witness.kind == "witness" and res.witness.r == res.rb_value - 1
         assert res.exhaustion.kind == "exhaustion" and res.exhaustion.r == res.rb_value
         assert res.witness.verify() and res.exhaustion.verify()
+        _assert_witness_source(res, recorded, False, d.m >= 2)
 
 
 def test_rb_search_interval_small():
-    # [32] takes about 134k nodes, each scan well inside its cap
+    # [32] takes about 64k exhaustion nodes, each scan well inside its cap;
+    # [1] and [2] have no construction
     for n in range(1, 33):
-        res = rb_search_interval(n, SearchBudget(max_nodes=500_000))
+        res, recorded = _scan_recording(rb_search_interval, n, SearchBudget(max_nodes=500_000))
         assert res.complete
         assert res.rb_value == closed_form_rb_interval(n)
         assert res.witness.verify() and res.exhaustion.verify()
+        _assert_witness_source(res, recorded, True, n >= 3)
 
 
 def test_rb_convention_cases_use_vacuous_exhaustion():
@@ -92,17 +127,17 @@ def test_rb_convention_cases_use_vacuous_exhaustion():
 
 def test_node_budget_raises():
     with pytest.raises(BudgetExceeded):
-        # r = 10 is an exhaustion of 4,293 nodes, past the first 4,096-node flush
-        exists_rainbow_free(GridDims(4, 5), 10, SearchBudget(max_nodes=1))
+        # r = 12 is an exhaustion of 106,574 nodes, far past the first 4,096-node flush
+        exists_rainbow_free(GridDims(5, 6), 12, SearchBudget(max_nodes=1))
 
 
 def test_zero_seconds_budget_raises_serial_and_parallel():
-    d = GridDims(4, 5)  # r = 10 is an exhaustion of 4,293 nodes
+    d = GridDims(5, 6)  # r = 12 is an exhaustion of 106,574 nodes; a zero deadline stops it first
     for threads in (1, 2):
         with pytest.raises(BudgetExceeded):
-            exists_rainbow_free(d, 10, SearchBudget(max_seconds=0, threads=threads))
+            exists_rainbow_free(d, 12, SearchBudget(max_seconds=0, threads=threads))
     with pytest.raises(BudgetExceeded):
-        list(enumerate_rainbow_free(d, 10, SearchBudget(max_seconds=0)))
+        list(enumerate_rainbow_free(d, 12, SearchBudget(max_seconds=0)))
 
 
 def _add_nodes(times):
@@ -129,7 +164,8 @@ def test_meter_sums_nodes_from_more_workers_than_cores():
 
 def test_rb_scan_rejects_non_monotone_engine(monkeypatch):
     # an engine that claims exhaustion at every r, rb - 1 included, drives
-    # the scan down to r = 1, where a witness must exist
+    # the scan down to r = 1, where a witness must exist; an m = 1 grid has
+    # no construction to stand for rb - 1
     from schurgrid import search
 
     def exhausted(dims, r, meter, interval):
@@ -137,28 +173,73 @@ def test_rb_scan_rejects_non_monotone_engine(monkeypatch):
 
     monkeypatch.setattr(search, "_decide", exhausted)
     with pytest.raises(RuntimeError, match="monotonicity"):
-        rb_search(GridDims(2, 3))
+        rb_search(GridDims(1, 4))
 
 
 def test_budget_cut_gives_bracketing_result():
-    res = rb_search(GridDims(4, 4), SearchBudget(max_nodes=1))
+    # r = 12 is an exhaustion of 106,574 nodes, cut at the first flush
+    res = rb_search(GridDims(5, 6), SearchBudget(max_nodes=1))
     assert not res.complete
     assert res.rb_value is None
-    assert res.lo <= 9 <= res.hi
+    assert res.lo <= 12 <= res.hi
     if res.witness is not None:
         assert res.witness.kind == "witness" and res.witness.r == res.lo - 1
     if res.exhaustion is not None:
         assert res.exhaustion.kind == "exhaustion" and res.exhaustion.r == res.hi
 
 
-def test_rb_scan_budget_covers_every_r():
-    # r = 12 (62,250 nodes) fits under the cap, r = 11 (41,144 more) does not
-    res = rb_search(GridDims(3, 8), SearchBudget(max_nodes=70_000))
+def test_rb_scan_budget_covers_every_r(monkeypatch):
+    # a guess one too high leaves no construction for r = 12, so the scan
+    # searches r = 13 (34,553 nodes) and r = 12 (62,250) under the cap, and
+    # r = 11 (41,144 more) does not fit
+    from schurgrid import search
+
+    monkeypatch.setattr(search, "closed_form_rb_grid", lambda dims: dims.m + dims.n + 2)
+    res = rb_search(GridDims(3, 8), SearchBudget(max_nodes=100_000))
     assert not res.complete
     assert res.exhaustion is not None and res.exhaustion.r == res.hi == 12
-    assert 70_000 <= res.nodes <= 70_000 + _FLUSH_EVERY
+    assert 100_000 <= res.nodes <= 100_000 + _FLUSH_EVERY
     # the cut scan keeps the prunes of every flush before the cut
     assert all(count > 0 for count in res.prunes.values())
+
+
+def test_rb_scan_climbs_by_search_past_a_witness_at_the_closed_form(monkeypatch):
+    # a witness at the closed form falsifies the paper: the scan climbs by
+    # search and reports the rb it finds
+    from schurgrid import search
+
+    real = search._decide
+
+    def witness_at_closed_form(dims, r, meter, interval):
+        closed = closed_form_rb_interval(dims.n) if interval else closed_form_rb_grid(dims)
+        if r == closed:
+            return Certificate("witness", dims, r, None, 1, search._engine(interval))
+        return real(dims, r, meter, interval)
+
+    monkeypatch.setattr(search, "_decide", witness_at_closed_form)
+    for scan, arg, closed in ((rb_search, GridDims(3, 4), 8), (rb_search_interval, 12, 5)):
+        res, recorded = _scan_recording(scan, arg)
+        assert res.complete and res.rb_value == closed + 1
+        assert res.witness.r == closed and res.witness.nodes == 1
+        assert res.exhaustion.r == closed + 1 and res.exhaustion.nodes > 0
+        assert [c.r for c in recorded] == [closed - 1, closed, closed + 1]
+
+
+def test_rb_scan_never_returns_a_failed_construction(monkeypatch):
+    # a rainbow construction, or one with the wrong color count, is searched past
+    from schurgrid import search
+
+    d = GridDims(3, 4)
+    good = lower_bound_coloring(d)
+    # colors 1, 2, ..., r, r, r row-major: exact, and (1,1) + (1,2) = (2,3) is rainbow
+    rainbow = Coloring(d, tuple(min(k + 1, good.r) for k in range(d.cell_count)), good.r)
+    for bad in (rainbow, merge_colors(good, 1, 2)):
+        monkeypatch.setattr(search, "_construction", lambda dims, interval: bad)
+        res, recorded = _scan_recording(rb_search, d)
+        assert res.complete and res.rb_value == 8
+        assert res.witness.engine == ENGINE_VERSION and res.witness.nodes > 0
+        assert res.witness.verify()
+        assert all(c.engine == ENGINE_VERSION for c in recorded)
 
 
 def test_node_cap_is_shared_by_workers():
