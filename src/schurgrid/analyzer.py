@@ -2,6 +2,13 @@
 regions, consecutive contributing pairs, corners, delta-diagonal sets, and
 the structural-law suite evaluated as per-coloring predicates.
 
+The analysis works on the coloring's flat row-major cells: diagonal k is
+the strided slice diagonal_slice(k) of Coloring.cells, pairs are classified
+by the difference of their flat ids, and the translation regions are two
+rectangles tested by a membership predicate rather than stored as sets.
+GridPoints are made only for what a caller reads (pair records, region
+sets).
+
 Every logarithmic bound is checked in exact integer arithmetic
 (floor(log2 m) via bit_length, fractional comparisons cross-multiplied),
 so verdicts are bit-exact.
@@ -11,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -21,6 +28,7 @@ from .grid import (
     GridPoint,
     diagonal_cells,
     diagonal_index,
+    diagonal_slice,
 )
 from .solutions import SolutionIndex, index_for, is_rainbow_free
 
@@ -61,7 +69,7 @@ def contributing_map(c: Coloring) -> ContributingMap:
     seen: set[int] = set()
     info: dict[int, DiagonalInfo] = {}
     for k in range(1, dims.diagonal_count + 1):
-        palette = frozenset(c.color_at(p) for p in diagonal_cells(k, dims))
+        palette = frozenset(c.cells[diagonal_slice(k, dims)])
         if k != dims.m:
             extra = palette - main
             contributed = frozenset(x for x in extra if x not in seen)
@@ -74,22 +82,63 @@ def contributing_map(c: Coloring) -> ContributingMap:
 # W / Y regions
 
 
+def _block(rows: range, cols: range) -> frozenset[GridPoint]:
+    return frozenset(GridPoint(i, j) for i in rows for j in cols)
+
+
 @dataclass(frozen=True)
 class RegionMask:
-    """Cells translatable by (s2, s2): W1 forward, W2 backward; Y1 and Y2
-    the two excluded corner blocks. Undefined when the main diagonal is
-    monochromatic (no s2).
+    """Cells translatable by (s2, s2): W1 = [1..m-s2]x[1..n-s2] forward,
+    W2 = [s2+1..m]x[s2+1..n] backward; Y1 and Y2 the two excluded corner
+    blocks. Undefined (s2 None) when the main diagonal is monochromatic.
+    s2 is a main-diagonal position, so 2 <= s2 <= m <= n.
 
     The literal text of the Y2 bound compares the column against m; the
     intended region is the top-right corner, which needs n.
     """
 
-    defined: bool
+    dims: GridDims
     s2: Optional[int]
-    w1: frozenset[GridPoint] = field(default_factory=frozenset)
-    w2: frozenset[GridPoint] = field(default_factory=frozenset)
-    y1: frozenset[GridPoint] = field(default_factory=frozenset)
-    y2: frozenset[GridPoint] = field(default_factory=frozenset)
+
+    @property
+    def defined(self) -> bool:
+        return self.s2 is not None
+
+    def in_w(self, p: GridPoint) -> bool:
+        """Whether the grid cell p lies in W = W1 | W2."""
+        s2 = self.s2
+        if s2 is None:
+            return False
+        return (p.i + s2 <= self.dims.m and p.j + s2 <= self.dims.n) or (p.i > s2 and p.j > s2)
+
+    def meets(self, pair: PairRecord) -> bool:
+        return self.in_w(pair.alpha) or self.in_w(pair.beta)
+
+    # the regions as cell sets, built on each read
+
+    @property
+    def w1(self) -> frozenset[GridPoint]:
+        if self.s2 is None:
+            return frozenset()
+        return _block(range(1, self.dims.m - self.s2 + 1), range(1, self.dims.n - self.s2 + 1))
+
+    @property
+    def w2(self) -> frozenset[GridPoint]:
+        if self.s2 is None:
+            return frozenset()
+        return _block(range(self.s2 + 1, self.dims.m + 1), range(self.s2 + 1, self.dims.n + 1))
+
+    @property
+    def y1(self) -> frozenset[GridPoint]:
+        if self.s2 is None:
+            return frozenset()
+        return _block(range(self.dims.m - self.s2 + 1, self.dims.m + 1), range(1, self.s2))
+
+    @property
+    def y2(self) -> frozenset[GridPoint]:
+        if self.s2 is None:
+            return frozenset()
+        return _block(range(1, self.s2), range(self.dims.n - self.s2 + 1, self.dims.n + 1))
 
     @property
     def w(self) -> frozenset[GridPoint]:
@@ -97,23 +146,7 @@ class RegionMask:
 
 
 def region_mask(c: Coloring) -> RegionMask:
-    dims = c.dims
-    ss = s_sequence(c)
-    if ss.ell < 2:
-        return RegionMask(defined=False, s2=None)
-    s2 = ss.values[1]
-    step = GridPoint(s2, s2)
-    w1, w2, y1, y2 = set(), set(), set(), set()
-    for p in dims.cells():
-        if dims.contains(p + step):
-            w1.add(p)
-        if dims.contains(p - step):
-            w2.add(p)
-        if p.i + s2 > dims.m and p.j < s2:
-            y1.add(p)
-        if p.i < s2 and p.j + s2 > dims.n:
-            y2.add(p)
-    return RegionMask(True, s2, frozenset(w1), frozenset(w2), frozenset(y1), frozenset(y2))
+    return RegionMask(c.dims, s_sequence(c).s2)
 
 
 # ---------------------------------------------------------------------------
@@ -134,32 +167,27 @@ class PairRecord:
 
 def find_pairs(c: Coloring, cmap: Optional[ContributingMap] = None) -> list[PairRecord]:
     """All element pairs across consecutive contributing off-diagonals whose
-    colors avoid the main-diagonal palette."""
+    colors avoid the main-diagonal palette. On consecutive diagonals a flat
+    step of +1 is one column right and of -n one row up."""
     dims = c.dims
     cmap = cmap or contributing_map(c)
     main = cmap.main_palette
+    ids = range(dims.cell_count)
+    # (flat id, point, color) of each contributing diagonal's off-main cells
+    off_main: dict[int, list[tuple[int, GridPoint, int]]] = {}
+    for k in cmap.contributing_indices():
+        s = diagonal_slice(k, dims)
+        off_main[k] = [
+            (f, dims.point(f), col) for f, col in zip(ids[s], c.cells[s]) if col not in main
+        ]
     out = []
     for a in range(1, dims.diagonal_count):
-        if a == dims.m or a + 1 == dims.m:
+        if a not in off_main or a + 1 not in off_main:
             continue
-        da = cmap.diagonals[a]
-        db = cmap.diagonals[a + 1]
-        if not (da.contributing and db.contributing):
-            continue
-        for alpha in diagonal_cells(a, dims):
-            ca = c.color_at(alpha)
-            if ca in main:
-                continue
-            for beta in diagonal_cells(a + 1, dims):
-                cb = c.color_at(beta)
-                if cb in main:
-                    continue
-                if beta == GridPoint(alpha.i, alpha.j + 1):
-                    kind = "horizontal"
-                elif beta == GridPoint(alpha.i - 1, alpha.j):
-                    kind = "vertical"
-                else:
-                    kind = "other"
+        for fa, alpha, ca in off_main[a]:
+            for fb, beta, cb in off_main[a + 1]:
+                step = fb - fa
+                kind = "horizontal" if step == 1 else "vertical" if step == -dims.n else "other"
                 out.append(PairRecord(kind, alpha, beta, (ca, cb), a))
     return out
 
@@ -182,16 +210,14 @@ def find_disjoint_corners(
     if not mask.defined:
         return []
     pairs = pairs if pairs is not None else find_pairs(c)
-    w = mask.w
-    verts = [p for p in pairs if p.kind == "vertical" and p.cells() & w]
-    hors = [p for p in pairs if p.kind == "horizontal" and p.cells() & w]
+    verts = [p for p in pairs if p.kind == "vertical" and mask.meets(p)]
+    hors = [p for p in pairs if p.kind == "horizontal" and mask.meets(p)]
     out = []
     for pv in verts:
         for ph in hors:
             if pv.cells() & ph.cells():
                 continue
-            four = [c.color_at(x) for x in (pv.alpha, pv.beta, ph.alpha, ph.beta)]
-            out.append(CornerRecord(pv, ph, len(set(four)) == 4))
+            out.append(CornerRecord(pv, ph, len(set(pv.colors + ph.colors)) == 4))
     return out
 
 
@@ -508,10 +534,7 @@ def _check_every_offdiag_contributes(ctx: _Ctx) -> _Outcome:
         if len(d.contributed_colors) != 1:
             return False, f"diagonal {k} contributes {len(d.contributed_colors)} colors"
         (color,) = d.contributed_colors
-        in_diag = sum(
-            1 for p in diagonal_cells(k, ctx.dims) if ctx.c.color_at(p) == color
-        )
-        if counts[color] != in_diag:
+        if counts[color] != ctx.c.cells[diagonal_slice(k, ctx.dims)].count(color):
             return False, f"color {color} escapes diagonal {k}"
     return True, ""
 
@@ -566,12 +589,12 @@ def _check_jump_diagonal_relation(ctx: _Ctx) -> _Outcome:
 def _check_pair_exclusion(ctx: _Ctx) -> _Outcome:
     if not ctx.mask.defined:
         return None, "W undefined"
-    w = ctx.mask.w
-    s2 = ctx.mask.s2 or 0
+    mask = ctx.mask
+    s2 = mask.s2
     nh = sum(1 for p in ctx.pairs if p.kind == "horizontal")
     nv = sum(1 for p in ctx.pairs if p.kind == "vertical")
-    h_in_w = any(p.kind == "horizontal" and p.cells() & w for p in ctx.pairs)
-    v_in_w = any(p.kind == "vertical" and p.cells() & w for p in ctx.pairs)
+    h_in_w = any(p.kind == "horizontal" and mask.meets(p) for p in ctx.pairs)
+    v_in_w = any(p.kind == "vertical" and mask.meets(p) for p in ctx.pairs)
     if h_in_w and nv > 2 * s2 - 2:
         return False, f"{nv} vertical pairs > {2*s2-2}"
     if v_in_w and nh > 2 * s2 - 2:

@@ -91,7 +91,10 @@ def _cache_hooks(args: argparse.Namespace, dims: GridDims, engine: str):
         return cert
 
     def record(cert: Certificate) -> None:
-        cache_put(cert, path)
+        # a rerun finds the same certificates; append only what is new
+        latest = cache_get(cert.dims, cert.r, cert.engine, path)
+        if latest is None or latest.to_json() != cert.to_json():
+            cache_put(cert, path)
 
     return fetch, record, hits
 

@@ -27,9 +27,10 @@ class Coloring:
             )
         if self.r < 1:
             raise ValueError(f"color count must be positive, got {self.r}")
-        for c in self.cells:
-            if not 1 <= c <= self.r:
-                raise ValueError(f"cell color {c} outside [1, {self.r}]")
+        lo, hi = min(self.cells), max(self.cells)
+        if lo < 1 or hi > self.r:
+            bad = lo if lo < 1 else hi
+            raise ValueError(f"cell color {bad} outside [1, {self.r}]")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], r: int | None = None) -> "Coloring":

@@ -75,14 +75,26 @@ def diagonal_in_range(k: int, dims: GridDims) -> bool:
     return 1 <= k <= dims.diagonal_count
 
 
-def diagonal_cells(k: int, dims: GridDims) -> list[GridPoint]:
-    """Cells of diagonal k, sorted by row. The diagonals partition the grid."""
+def _diagonal_rows(k: int, dims: GridDims) -> tuple[int, int, int]:
+    """(d, lo, hi): diagonal k holds the cells (i, i - d) for lo <= i <= hi."""
     if not diagonal_in_range(k, dims):
         raise ValueError(f"diagonal index {k} outside [1, {dims.diagonal_count}]")
     d = dims.m - k  # i - j for every cell on the diagonal
-    lo = max(1, d + 1)
-    hi = min(dims.m, dims.n + d)
+    return d, max(1, d + 1), min(dims.m, dims.n + d)
+
+
+def diagonal_cells(k: int, dims: GridDims) -> list[GridPoint]:
+    """Cells of diagonal k, sorted by row. The diagonals partition the grid."""
+    d, lo, hi = _diagonal_rows(k, dims)
     return [GridPoint(i, i - d) for i in range(lo, hi + 1)]
+
+
+def diagonal_slice(k: int, dims: GridDims) -> slice:
+    """Row-major flat ids of diagonal k, in diagonal_cells order, as a slice
+    of step n + 1: stepping one row down and one column right."""
+    d, lo, hi = _diagonal_rows(k, dims)
+    step = dims.n + 1
+    return slice((lo - 1) * step - d, (hi - 1) * step - d + 1, step)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from .constructions import (
     lower_bound_coloring,
     valuation_coloring,
 )
-from .grid import GridDims, diagonal_cells, enumerate_solutions
+from .grid import GridDims, diagonal_slice, enumerate_solutions
 from .solutions import SolutionIndex, index_for
 
 
@@ -123,7 +123,8 @@ def assignment_order(dims: GridDims) -> list[int]:
     contradictions surface early, so the walk visits far fewer nodes than
     row-major would; on a 1-by-n carrier it is row-major."""
     ks = sorted(range(1, dims.diagonal_count + 1), key=lambda k: (abs(k - dims.m), k))
-    return [dims.flat(p) for k in ks for p in diagonal_cells(k, dims)]
+    ids = range(dims.cell_count)
+    return [f for k in ks for f in ids[diagonal_slice(k, dims)]]
 
 
 def _build_checks(index: SolutionIndex, order: list[int]) -> list[list[tuple[int, int]]]:

@@ -10,7 +10,9 @@ when m = 1).
 The index keeps only the box and its trailing-axis pairs: the column pairs
 (j1, j2) with j1 + j2 <= n on a grid, one empty pair on an interval. Triples
 are streamed by one sweep over the leading coordinate of the first summand,
-never stored: [10^4] alone has 25M of them, so memory stays O(cells).
+never stored: [10^4] alone has 25M of them. A sweep first gathers every box
+row at the trailing-pair offsets, so its memory is O(rows x trailing pairs):
+O(m n^2) on a grid, O(n) on an interval.
 """
 
 from __future__ import annotations
@@ -47,31 +49,41 @@ class SolutionIndex:
         diagonal = math.prod(s // 2 for s in self.shape)
         return (ordered + diagonal) // 2
 
-    def _block(self, rows: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """rows (a flat array reshaped by _rows) at the first summand, second
-        summand and sum of the triples whose first summand has leading
-        coordinate x. Axis 0 runs over the second summand's leading
-        coordinate y = x..L-x, axis 1 over the trailing pairs. Over the box's
-        leading side L, x <= y and x + y <= L leave x = 1..L//2."""
-        t1, t2, t3 = self._pairs
-        return rows[x - 1, t1], rows[x - 1 : len(rows) - x, t2], rows[2 * x - 1 :, t3]
-
-    def _rows(self, values=None) -> np.ndarray:
-        """Flat values (default: the flat ids) reshaped to (L, row width)."""
+    def _gather(self, values=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat values (default: the flat ids) as L box rows, each gathered
+        at the first-summand, second-summand and sum offsets of every
+        trailing pair: three (L, pairs) arrays, made once per sweep."""
         if values is None:
             values = np.arange(self.dims.cell_count)
-        return np.asarray(values).reshape(self.shape[0], -1)
+        rows = np.asarray(values).reshape(self.shape[0], -1)
+        t1, t2, t3 = self._pairs
+        return rows[:, t1], rows[:, t2], rows[:, t3]
+
+    @staticmethod
+    def _block(gathered, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of the gathered values at the first summand, second summand
+        and sum of the triples whose first summand has leading coordinate x.
+        Axis 0 runs over the second summand's leading coordinate y = x..L-x,
+        axis 1 over the trailing pairs. Over the box's leading side L,
+        x <= y and x + y <= L leave x = 1..L//2."""
+        g1, g2, g3 = gathered
+        return g1[x - 1], g2[x - 1 : len(g2) - x], g3[2 * x - 1 :]
 
     def find_rainbow(self, cells: Sequence[int]) -> Optional[SolutionTriple]:
-        """First rainbow triple under the flat coloring cells, or None.
-        Degenerate triples need no mask: both summands share one color."""
-        colors = self._rows(cells)
+        """First rainbow triple under the flat coloring cells, in arrays()
+        order, or None. Degenerate triples need no mask: both summands share
+        one color."""
+        gathered = self._gather(cells)
         for x in range(1, self.shape[0] // 2 + 1):
-            ca, cb, cc = self._block(colors, x)
-            hits = np.flatnonzero((ca != cb) & (ca != cc) & (cb != cc))
-            if hits.size:
-                ids = self._block(self._rows(), x)
-                a, b, c = (int(np.broadcast_to(arr, cb.shape).flat[hits[0]]) for arr in ids)
+            ca, cb, cc = self._block(gathered, x)
+            bad = (ca != cb) & (ca != cc) & (cb != cc)
+            if bad.any():
+                dy, q = divmod(int(bad.argmax()), bad.shape[1])
+                width = self.dims.cell_count // self.shape[0]
+                t1, t2, t3 = (int(t[q]) for t in self._pairs)
+                a = (x - 1) * width + t1
+                b = (x - 1 + dy) * width + t2
+                c = (2 * x - 1 + dy) * width + t3
                 p = self.dims.point
                 return SolutionTriple(p(min(a, b)), p(max(a, b)), p(c), False)
         return None
@@ -81,7 +93,7 @@ class SolutionIndex:
         triple, alpha <= beta, generated on demand by the find_rainbow sweep
         and in its order."""
         t1, t2, _ = self._pairs
-        ids = self._rows()
+        ids = self._gather()
         parts: list[list[np.ndarray]] = [[], [], []]
         for x in range(1, self.shape[0] // 2 + 1):
             block = np.broadcast_arrays(*self._block(ids, x))

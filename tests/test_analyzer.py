@@ -1,11 +1,16 @@
 """Structure analysis: contributing diagonals, regions, pairs, lemma suite."""
 
 import json
+import random
 
 import pytest
 
+from schurgrid import analyzer
 from schurgrid.analyzer import (
     LEMMA_CHECKS,
+    ContributingMap,
+    DiagonalInfo,
+    PairRecord,
     check_lemma,
     contributing_map,
     delta_sets,
@@ -16,9 +21,10 @@ from schurgrid.analyzer import (
     structure_report,
     structure_report_json,
 )
-from schurgrid.coloring import Coloring
+from schurgrid.coloring import Coloring, s_sequence
 from schurgrid.constructions import lower_bound_coloring
 from schurgrid.grid import GridDims, GridPoint, diagonal_cells
+from schurgrid.search import enumerate_rainbow_free
 
 
 def test_contributing_map_lower_bound_coloring():
@@ -248,3 +254,130 @@ def test_structure_report_runs_each_sweep_once(monkeypatch):
     )
     structure_report(c)
     assert calls == {"find_rainbow": 1, "contributing_map": 1}
+
+
+# Plain GridPoint references for the flat-index analyzer: diagonals as
+# diagonal_cells lists, pairs by point comparison, regions as cell sets.
+
+
+def _ref_contributing_map(c: Coloring) -> ContributingMap:
+    dims = c.dims
+    main = frozenset(c.main_diagonal_colors())
+    seen: set[int] = set()
+    info = {}
+    for k in range(1, dims.diagonal_count + 1):
+        palette = frozenset(c.color_at(p) for p in diagonal_cells(k, dims))
+        if k != dims.m:
+            extra = palette - main
+            contributed = frozenset(x for x in extra if x not in seen)
+            info[k] = DiagonalInfo(k, palette, extra, contributed)
+        seen |= palette
+    return ContributingMap(main, info)
+
+
+class _RefMask:
+    def __init__(self, c: Coloring):
+        dims = c.dims
+        ss = s_sequence(c)
+        self.defined = ss.ell >= 2
+        self.s2 = ss.values[1] if self.defined else None
+        self.w1, self.w2, self.y1, self.y2 = set(), set(), set(), set()
+        if not self.defined:
+            return
+        step = GridPoint(self.s2, self.s2)
+        for p in dims.cells():
+            if dims.contains(p + step):
+                self.w1.add(p)
+            if dims.contains(p - step):
+                self.w2.add(p)
+            if p.i + self.s2 > dims.m and p.j < self.s2:
+                self.y1.add(p)
+            if p.i < self.s2 and p.j + self.s2 > dims.n:
+                self.y2.add(p)
+        self.w = self.w1 | self.w2
+
+    def in_w(self, p: GridPoint) -> bool:
+        return self.defined and p in self.w
+
+    def meets(self, pair: PairRecord) -> bool:
+        return self.defined and bool(pair.cells() & self.w)
+
+
+def _ref_find_pairs(c: Coloring, cmap=None) -> list[PairRecord]:
+    dims = c.dims
+    cmap = cmap or _ref_contributing_map(c)
+    main = cmap.main_palette
+    out = []
+    for a in range(1, dims.diagonal_count):
+        if a == dims.m or a + 1 == dims.m:
+            continue
+        if not (cmap.diagonals[a].contributing and cmap.diagonals[a + 1].contributing):
+            continue
+        for alpha in diagonal_cells(a, dims):
+            ca = c.color_at(alpha)
+            if ca in main:
+                continue
+            for beta in diagonal_cells(a + 1, dims):
+                cb = c.color_at(beta)
+                if cb in main:
+                    continue
+                if beta == GridPoint(alpha.i, alpha.j + 1):
+                    kind = "horizontal"
+                elif beta == GridPoint(alpha.i - 1, alpha.j):
+                    kind = "vertical"
+                else:
+                    kind = "other"
+                out.append(PairRecord(kind, alpha, beta, (ca, cb), a))
+    return out
+
+
+_REFERENCE_GRIDS = [(m, n) for m in range(1, 5) for n in range(max(m, 3), 7)]
+
+
+def _reference_corpus():
+    """Every extremal class of the grids up to 4x6 with m >= 2, and random
+    colorings with r in {3, m+n, m+n+1}: one batch as drawn and one per
+    forced s2 = 2..m, or m + 1 for a monochromatic main diagonal."""
+    rng = random.Random(29)
+    out = []
+    for m, n in _REFERENCE_GRIDS:
+        d = GridDims(m, n)
+        if m >= 2:
+            out += list(enumerate_rainbow_free(d, m + n))
+        for r in sorted({3, m + n, m + n + 1}):
+            if r > d.cell_count:
+                continue
+            for s2 in [None, *range(2, m + 2)]:
+                for _ in range(3):
+                    cells = [rng.randint(1, r) for _ in range(d.cell_count)]
+                    if s2 is not None:
+                        for x in range(1, min(s2, m) + 1):
+                            cells[(x - 1) * (n + 1)] = 1 if x < s2 else 2
+                    out.append(Coloring(d, tuple(cells), r))
+    return out
+
+
+def test_flat_analyzer_matches_gridpoint_reference():
+    s2_seen: dict[tuple[int, int], set] = {}
+    for c in _reference_corpus():
+        cmap = contributing_map(c)
+        assert cmap == _ref_contributing_map(c)
+        assert find_pairs(c, cmap) == _ref_find_pairs(c)
+        mask, ref = region_mask(c), _RefMask(c)
+        assert (mask.defined, mask.s2) == (ref.defined, ref.s2)
+        assert (mask.w1, mask.w2, mask.y1, mask.y2) == (ref.w1, ref.w2, ref.y1, ref.y2)
+        assert all(mask.in_w(p) == ref.in_w(p) for p in c.dims.cells())
+        s2_seen.setdefault((c.dims.m, c.dims.n), set()).add(mask.s2)
+    for m, n in _REFERENCE_GRIDS:
+        assert s2_seen[(m, n)] >= {None, *range(2, m + 1)}, (m, n)
+
+
+def test_structure_report_matches_gridpoint_reference(monkeypatch):
+    corpus = _reference_corpus()
+    want = [structure_report_json(c) for c in corpus]
+    monkeypatch.setattr(analyzer, "contributing_map", _ref_contributing_map)
+    monkeypatch.setattr(analyzer, "region_mask", _RefMask)
+    monkeypatch.setattr(analyzer, "find_pairs", _ref_find_pairs)
+    got = [structure_report_json(c) for c in corpus]
+    assert got == want
+    assert any(json.loads(x)["corners"] for x in got)

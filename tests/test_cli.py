@@ -171,5 +171,11 @@ def test_cache_round(capsys, tmp_path):
     )
     assert code == 0
     assert "[cached]" in out2
-    engines = [json.loads(line)["engine"] for line in open(cache)]
+    lines = open(cache).read().splitlines()
+    engines = [json.loads(line)["engine"] for line in lines]
     assert engines[0] == "schurgrid-construction"
+    # the second run found the same certificates and appended none again
+    assert len(lines) == len(set(lines))
+    code, _, _ = run(capsys, "rb-grid", "--m", "2", "--n", "4", "--cache", cache)
+    assert code == 0
+    assert open(cache).read().splitlines() == lines

@@ -22,9 +22,9 @@ def test_validation():
     d = GridDims(2, 2)
     with pytest.raises(ValueError):
         Coloring(d, (1, 2, 3), 3)  # wrong cell count
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cell color 4 outside"):
         Coloring(d, (1, 2, 3, 4), 3)  # color above r
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cell color 0 outside"):
         Coloring(d, (0, 1, 1, 1), 1)  # colors are 1-based
 
 

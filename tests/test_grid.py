@@ -9,6 +9,7 @@ from schurgrid.grid import (
     detect_jump,
     diagonal_cells,
     diagonal_index,
+    diagonal_slice,
     enumerate_solutions,
     jump_cover,
     jump_window,
@@ -57,6 +58,18 @@ def test_diagonal_index_and_cells():
         assert all(diagonal_index(p, d) == k for p in cells)
     # every cell on exactly one diagonal
     assert sum(len(diagonal_cells(k, d)) for k in range(1, 7)) == 12
+
+
+def test_diagonal_slice_matches_diagonal_cells():
+    for m in range(1, 7):
+        for n in range(m, 10):
+            d = GridDims(m, n)
+            ids = list(range(d.cell_count))
+            for k in range(1, d.diagonal_count + 1):
+                want = [d.flat(p) for p in diagonal_cells(k, d)]
+                assert ids[diagonal_slice(k, d)] == want, (m, n, k)
+    with pytest.raises(ValueError):
+        diagonal_slice(0, GridDims(3, 4))
 
 
 def test_diagonal_index_outside_grid():

@@ -3,9 +3,11 @@
 import random
 import tracemalloc
 
+import numpy as np
+
 from schurgrid.coloring import Coloring, is_rainbow
 from schurgrid.constructions import lower_bound_coloring, valuation_coloring
-from schurgrid.grid import GridDims, enumerate_solutions
+from schurgrid.grid import GridDims, SolutionTriple, enumerate_solutions
 from schurgrid.solutions import (
     IntervalSolutionIndex,
     SolutionIndex,
@@ -92,6 +94,29 @@ def test_interval_find_rainbow_matches_triple_scan():
                 assert is_rainbow(found, c)
                 assert found.alpha.i == found.beta.i == found.gamma.i == 1
                 assert found.gamma.j == found.alpha.j + found.beta.j
+
+
+def test_find_rainbow_returns_first_hit_in_arrays_order():
+    rng = random.Random(13)
+    boxes = [(GridDims(m, n), False) for m in range(1, 6) for n in range(m, 9)]
+    boxes += [(GridDims(1, n), True) for n in range(1, 41)]
+    for d, interval in boxes:
+        idx = index_for(d, interval)
+        alpha, beta, gamma, degenerate = idx.arrays()
+        for _ in range(20):
+            r = rng.randint(1, min(d.cell_count, 5))
+            cells = tuple(rng.randint(1, r) for _ in range(d.cell_count))
+            colors = np.asarray(cells)
+            ca, cb, cc = colors[alpha], colors[beta], colors[gamma]
+            rainbow = ~degenerate & (ca != cb) & (ca != cc) & (cb != cc)
+            want = None
+            if rainbow.any():
+                i = int(rainbow.argmax())
+                p = d.point
+                want = SolutionTriple(
+                    p(int(alpha[i])), p(int(beta[i])), p(int(gamma[i])), False
+                )
+            assert idx.find_rainbow(cells) == want, (d, interval, cells)
 
 
 def test_caches_return_same_object():
