@@ -58,21 +58,25 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        """Parse one certificate line. The engine field is required (KeyError
-        without it): a line with no engine cannot say which search made it."""
-        obj = json.loads(text)
-        dims = GridDims(int(obj["m"]), int(obj["n"]))
-        coloring = None
-        if "cells" in obj:
-            coloring = Coloring.from_rows(obj["cells"], int(obj["r"]))
-        return cls(
-            kind=str(obj["kind"]),
-            dims=dims,
-            r=int(obj["r"]),
-            coloring=coloring,
-            nodes=int(obj.get("nodes", 0)),
-            engine=str(obj["engine"]),
-        )
+        """Parse one certificate line. Every malformed line raises ValueError
+        (the cache skips it; verify and analyze exit 2), a line with no
+        engine too: it cannot say which search made it."""
+        obj = json.loads(text)  # a JSONDecodeError is a ValueError
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        if obj.get("kind") not in ("witness", "exhaustion"):
+            raise ValueError(f"unknown kind {obj.get('kind')!r}")
+        try:
+            m, n, r, nodes, engine = (obj[k] for k in ("m", "n", "r", "nodes", "engine"))
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from None
+        if not all(type(v) is int for v in (m, n, r, nodes)):
+            raise ValueError(f"m, n, r and nodes must be integers, got {[m, n, r, nodes]}")
+        try:
+            coloring = Coloring.from_rows(obj["cells"], r) if "cells" in obj else None
+        except (LookupError, TypeError) as exc:  # cells that are not rows of numbers
+            raise ValueError(f"cells are not a coloring ({type(exc).__name__}: {exc})") from None
+        return cls(obj["kind"], GridDims(m, n), r, coloring, nodes, str(engine))
 
     def verify(self) -> bool:
         """Re-check the claim. Witnesses are re-verified from scratch

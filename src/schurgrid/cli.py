@@ -161,10 +161,7 @@ def cmd_rb(args) -> int:
 def cmd_witness(args) -> int:
     dims = GridDims(args.m, args.n)
     if not 1 <= args.colors <= dims.cell_count:
-        print(
-            f"error: --colors must be in [1, {dims.cell_count}]", file=sys.stderr
-        )
-        return EXIT_USAGE
+        raise ValueError(f"--colors must be in [1, {dims.cell_count}]")
     try:
         cert = exists_rainbow_free(
             dims, args.colors, _budget_of(args), interval=args.interval
@@ -182,15 +179,11 @@ def cmd_witness(args) -> int:
 
 def cmd_construct(args) -> int:
     if args.which == "lower":
-        if args.m < 2:
-            print("error: lower construction needs m >= 2", file=sys.stderr)
-            return EXIT_USAGE
         c = lower_bound_coloring(GridDims(args.m, args.n), verify=True)
         note = f"exact {c.r}-coloring (m+n), rainbow-free (verified)"
     else:
         if args.m != 1:
-            print("error: valuation construction lives on [n]; use --m 1", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("valuation construction lives on [n]; use --m 1")
         c = valuation_coloring(args.n, verify=True)
         note = f"exact {c.r}-coloring (floor(log2 n)+1), rainbow-free (verified)"
     sys.stdout.write(c.to_text())
@@ -198,18 +191,23 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def _read_certificate(file: str) -> tuple[str, Certificate]:
+    """The stripped text of a certificate file and its parse. An unreadable
+    file exits 64; a line Certificate.from_json rejects exits 2."""
     try:
-        text = Path(args.file).read_text()
+        text = Path(file).read_text().strip()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    stripped = text.strip()
+        raise SystemExit(EXIT_USAGE)
     try:
-        cert = Certificate.from_json(stripped)
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        return text, Certificate.from_json(text)
+    except ValueError as exc:
         print(f"unverifiable: cannot parse certificate ({exc})")
-        return EXIT_FALSIFIED
+        raise SystemExit(EXIT_FALSIFIED)
+
+
+def cmd_verify(args) -> int:
+    stripped, cert = _read_certificate(args.file)
     reserialized = cert.to_json()
     if reserialized != stripped:
         print("unverifiable: certificate is not in canonical form")
@@ -224,16 +222,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cert = Certificate.from_json(text.strip())
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        print(f"unverifiable: cannot parse certificate ({exc})")
-        return EXIT_FALSIFIED
+    _, cert = _read_certificate(args.file)
     if cert.coloring is None:
         print("unverifiable: exhaustion certificates carry no coloring to analyze")
         return EXIT_FALSIFIED
@@ -247,8 +236,7 @@ def cmd_analyze(args) -> int:
 def cmd_lemma(args) -> int:
     if args.name not in LEMMA_CHECKS:
         known = ", ".join(sorted(LEMMA_CHECKS))
-        print(f"error: unknown lemma id {args.name!r} (known: {known})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown lemma id {args.name!r} (known: {known})")
     dims = GridDims(args.m, args.n)
     rs = [args.r] if args.r is not None else list(range(1, dims.cell_count + 1))
     checked = 0
@@ -322,10 +310,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -34,6 +34,8 @@ class Coloring:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], r: int | None = None) -> "Coloring":
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("rows of unequal length")
         cells = tuple(c for row in rows for c in row)
         dims = GridDims(len(rows), len(rows[0]))
         if dims.m != len(rows):  # constructor transposed; rebuild cells to match

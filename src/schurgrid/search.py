@@ -294,6 +294,7 @@ def _search(
 
 
 def _decide(dims: GridDims, r: int, meter: _Meter, interval: bool) -> Certificate:
+    index = index_for(dims, interval)  # checks the carrier, even at r = cap + 1
     cap = dims.cell_count
     if r == cap + 1:
         # no exact coloring uses more colors than cells, so exhaustion is
@@ -302,7 +303,7 @@ def _decide(dims: GridDims, r: int, meter: _Meter, interval: bool) -> Certificat
     if not 1 <= r <= cap:
         raise ValueError(f"color count {r} outside [1, {cap + 1}]")
     cell_order = assignment_order(dims)
-    checks = _build_checks(index_for(dims, interval), cell_order)
+    checks = _build_checks(index, cell_order)
     spent = meter.nodes.value
     witness = _search(cell_order, checks, r, meter)
     nodes = meter.nodes.value - spent

@@ -27,12 +27,16 @@ from .coloring import Coloring
 from .grid import GridDims, SolutionTriple
 
 
+def _check_carrier(dims: GridDims, interval: bool) -> None:
+    if interval and dims.m != 1:
+        raise ValueError(f"an interval lives on a 1-by-n carrier, got {dims.m}x{dims.n}")
+
+
 class SolutionIndex:
     """Every unordered solution {x, y, x + y} of x + y = z inside a box."""
 
     def __init__(self, dims: GridDims, interval: bool = False):
-        if interval and dims.m != 1:
-            raise ValueError(f"an interval lives on a 1-by-n carrier, got {dims.m}x{dims.n}")
+        _check_carrier(dims, interval)
         self.dims = dims
         self.shape = (dims.n,) if interval else (dims.m, dims.n)
         # (first summand, second summand, sum) offsets within a box row
@@ -130,6 +134,7 @@ def interval_index(n: int) -> SolutionIndex:
 
 def index_for(dims: GridDims, interval: bool) -> SolutionIndex:
     """The cached index of [n] (on the 1-by-n carrier) or of the grid."""
+    _check_carrier(dims, interval)
     return interval_index(dims.n) if interval else grid_index(dims.m, dims.n)
 
 

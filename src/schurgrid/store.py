@@ -2,7 +2,8 @@
 
 One certificate per line, keyed by (m, n, r, engine). Later lines win.
 Writers take an advisory lock so concurrent CLI runs do not interleave
-partial lines; readers skip lines that fail to parse instead of dying.
+partial lines. Certificate.from_json raises ValueError for every malformed
+line; readers log it and skip the line instead of dying.
 A file is parsed once per state (inode, size, mtime), so an append by
 this or another process forces a re-read and nothing else does.
 """
@@ -10,7 +11,6 @@ this or another process forces a re-read and nothing else does.
 from __future__ import annotations
 
 import fcntl
-import json
 import logging
 from functools import lru_cache
 from pathlib import Path
@@ -46,7 +46,7 @@ def _parse(path: Path, stamp: tuple[int, int, int]) -> dict[_Key, Certificate]:
             continue
         try:
             cert = Certificate.from_json(line)
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except ValueError as exc:
             log.warning("skipping corrupt cache line %s:%d (%s)", path, lineno, exc)
             continue
         out[(cert.dims.m, cert.dims.n, cert.r, cert.engine)] = cert

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from schurgrid.certificates import ENGINE_VERSION
 from schurgrid.cli import main
 
 
@@ -87,7 +88,7 @@ def test_budget_flags_reject_out_of_range(capsys, flag, value):
     assert flag in err
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "rb-grid", "--m", "0", "--n", "3")
     assert code == 64
     code, _, err = run(capsys, "rb-grid", "--n", "3")
@@ -95,6 +96,18 @@ def test_usage_errors(capsys):
     assert "error" in err
     code, _, _ = run(capsys, "no-such-command")
     assert code == 64
+    code, _, err = run(capsys, "verify", "--file", str(tmp_path / "missing.json"))
+    assert code == 64
+    assert "error" in err
+    # an interval lives on a 1-by-n carrier
+    code, _, err = run(capsys, "witness", "--m", "2", "--n", "4", "--colors", "5", "--interval")
+    assert code == 64
+    assert "1-by-n carrier" in err
+    code, _, err = run(
+        capsys, "lemma", "--name", "one-extra-color", "--m", "2", "--n", "4", "--interval"
+    )
+    assert code == 64
+    assert "1-by-n carrier" in err
 
 
 def test_witness_and_verify_roundtrip(capsys, tmp_path):
@@ -149,6 +162,28 @@ def test_analyze_witness(capsys, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["rainbow_free"] is True
+
+
+def test_malformed_certificate_lines(capsys, tmp_path):
+    witness = {"kind": "witness", "m": 2, "n": 2, "r": 3, "cells": [], "nodes": 0,
+               "engine": ENGINE_VERSION}
+    # filed under the key rb-grid 3x3 looks up at r = 7
+    bogus = {"kind": "bogus", "m": 3, "n": 3, "r": 7, "nodes": 0, "engine": ENGINE_VERSION}
+    path = tmp_path / "bad.json"
+    for line in ("{not json", "[1, 2]", "null", json.dumps(witness), json.dumps(bogus)):
+        path.write_text(line + "\n")
+        for command in ("verify", "analyze"):
+            code, out, _ = run(capsys, command, "--file", str(path))
+            assert code == 2, (command, line)
+            assert "cannot parse certificate" in out, (command, line)
+    # a certificate that claims nothing is never served, even when trusted
+    code, out, _ = run(
+        capsys, "rb-grid", "--m", "3", "--n", "3", "--cache", str(path), "--trust-cache"
+    )
+    assert code == 0
+    assert "[cached]" not in out
+    line = next(ln for ln in out.splitlines() if ln.startswith("exhaustion certificate: "))
+    assert json.loads(line.removeprefix("exhaustion certificate: "))["kind"] == "exhaustion"
 
 
 def test_lemma_command(capsys):

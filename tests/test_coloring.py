@@ -26,6 +26,8 @@ def test_validation():
         Coloring(d, (1, 2, 3, 4), 3)  # color above r
     with pytest.raises(ValueError, match="cell color 0 outside"):
         Coloring(d, (0, 1, 1, 1), 1)  # colors are 1-based
+    with pytest.raises(ValueError, match="unequal length"):
+        Coloring.from_rows([[1, 2, 3], [1, 2, 3, 1, 2], [3]], 3)  # 9 cells, ragged
 
 
 def test_rows_and_text_roundtrip():

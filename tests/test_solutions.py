@@ -4,10 +4,12 @@ import random
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from schurgrid.coloring import Coloring, is_rainbow
 from schurgrid.constructions import lower_bound_coloring, valuation_coloring
 from schurgrid.grid import GridDims, SolutionTriple, enumerate_solutions
+from schurgrid.search import exists_rainbow_free
 from schurgrid.solutions import (
     IntervalSolutionIndex,
     SolutionIndex,
@@ -161,3 +163,8 @@ def test_cache_clear_drops_the_indexes_index_for_hands_out():
     assert index_for(line, True) is interval is interval_index(9)
     interval_index.cache_clear()
     assert index_for(line, True) is not interval
+    # an interval lives on a 1-by-n carrier, so search inherits the rule too
+    with pytest.raises(ValueError, match="1-by-n carrier"):
+        index_for(GridDims(2, 4), True)
+    with pytest.raises(ValueError, match="1-by-n carrier"):
+        exists_rainbow_free(GridDims(2, 4), 5, interval=True)

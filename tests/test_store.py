@@ -1,6 +1,9 @@
 """JSONL certificate cache behavior."""
 
+import json
 import logging
+
+import pytest
 
 from schurgrid.certificates import ENGINE_VERSION, Certificate
 from schurgrid.grid import GridDims
@@ -26,16 +29,32 @@ def test_cache_miss_on_key_mismatch(tmp_path):
     assert cache_get(GridDims(2, 3), 4, "schurgrid-0.0.9", path) is None
 
 
-def test_cache_skips_corrupt_lines(tmp_path, caplog):
+# lines Certificate.from_json rejects; the last two are filed under 2x3, r = 4
+_KEY = {"m": 2, "n": 3, "r": 4}
+MALFORMED = {
+    "not-json": "{not json",
+    "list": "[1, 2]",
+    "null": "null",
+    "empty-cells": json.dumps(
+        {"kind": "witness", **_KEY, "cells": [], "nodes": 0, "engine": ENGINE_VERSION}
+    ),
+    "bogus-kind": json.dumps({"kind": "bogus", **_KEY, "nodes": 0, "engine": ENGINE_VERSION}),
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED.values(), ids=MALFORMED.keys())
+def test_cache_skips_corrupt_lines(tmp_path, caplog, line):
     path = tmp_path / "certs.jsonl"
     cert = exists_rainbow_free(GridDims(2, 3), 4)
     cache_put(cert, path)
     with open(path, "a") as fh:
-        fh.write("{not json\n")
+        fh.write(line + "\n")
     other = exists_rainbow_free(GridDims(2, 2), 3)
     cache_put(other, path)
     with caplog.at_level(logging.WARNING, logger="schurgrid.store"):
         assert cache_get(GridDims(2, 2), 3, ENGINE_VERSION, path) == other
+        # a malformed line never shadows the valid line before it
+        assert cache_get(GridDims(2, 3), 4, ENGINE_VERSION, path) == cert
     assert any("corrupt" in rec.message for rec in caplog.records)
 
 
