@@ -22,7 +22,7 @@ from .coloring import Coloring, is_exact
 from .grid import GridDims
 from .solutions import index_for, is_rainbow_free
 
-ENGINE_VERSION = "schurgrid-0.2.0"
+ENGINE_VERSION = "schurgrid-0.3.0"
 INTERVAL_ENGINE_VERSION = ENGINE_VERSION + "-interval"
 CONSTRUCTION_ENGINE = "schurgrid-construction"
 
@@ -76,6 +76,10 @@ class Certificate:
             coloring = Coloring.from_rows(obj["cells"], r) if "cells" in obj else None
         except (LookupError, TypeError) as exc:  # cells that are not rows of numbers
             raise ValueError(f"cells are not a coloring ({type(exc).__name__}: {exc})") from None
+        if coloring is not None and set(map(type, coloring.cells)) != {int}:
+            # 1.0 and true compare equal to colors but are not ones
+            bad = next(c for c in coloring.cells if type(c) is not int)
+            raise ValueError(f"cells must be integers, got {bad!r}")
         return cls(obj["kind"], GridDims(m, n), r, coloring, nodes, str(engine))
 
     def verify(self) -> bool:

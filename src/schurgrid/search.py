@@ -18,6 +18,16 @@ colors). Narrowings are undone from a trail. Per cell position, the
 partner pairs of the triples it can narrow are precomputed from
 SolutionIndex.arrays().
 
+A branch also dies when the unused colors cannot fit among the unassigned
+cells by the rainbow definition alone. Let G_k join positions b and c when
+some non-degenerate triple has sorted walk positions a < k <= b < c. Once
+positions 0..k-1 are colored, cells taking two different unused colors
+never share such a triple, since with the used color at a it would be
+rainbow; so one cell per unused color forms an independent set in G_k, and
+there are at most room[k] of them, the size of a greedy clique cover of
+G_k (a clique holds at most one such cell). room is precomputed with the
+partner pairs; no law of the paper enters it.
+
 An rb scan searches only the exhaustion at the closed-form rb: the witness
 at rb - 1 is the paper's construction (lower_bound_coloring on grids,
 valuation_coloring on [n]), canonicalized and re-checked by
@@ -40,7 +50,7 @@ import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -91,20 +101,29 @@ class _Meter:
         self.max_nodes, self.threads = budget.max_nodes, budget.threads
         self.deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
         self.nodes = multiprocessing.Value("q", 0)  # summed under its lock
-        self.prunes = multiprocessing.RawArray("q", 2)  # summed under the nodes' lock
+        self.prunes = multiprocessing.RawArray("q", 3)  # summed under the nodes' lock
         self.stopped = multiprocessing.RawValue("b", 0)  # set by a witness or a cut
 
-    def add(self, nodes: int, empty_domain: int = 0, fresh_capacity: int = 0) -> None:
+    def add(
+        self, nodes: int, empty_domain: int = 0, fresh_capacity: int = 0, independence: int = 0
+    ) -> None:
         with self.nodes.get_lock():
             self.nodes.value += nodes
             self.prunes[0] += empty_domain
             self.prunes[1] += fresh_capacity
+            self.prunes[2] += independence
 
     def prune_counts(self) -> dict[str, int]:
         """Candidate colors rejected, by cause: a placement left a domain
-        empty, or too few unassigned cells could still take the colors not
-        yet used."""
-        return {"empty_domain": self.prunes[0], "fresh_capacity": self.prunes[1]}
+        empty; too few unassigned cells keep a full domain for the colors not
+        yet used; or enough do, but cells taking distinct unused colors form
+        an independent set in G_k, and its clique-cover bound room[k] is too
+        small for them (see the module docstring)."""
+        return {
+            "empty_domain": self.prunes[0],
+            "fresh_capacity": self.prunes[1],
+            "independence": self.prunes[2],
+        }
 
     def go(self) -> bool:
         """True while the search may go on: not stopped, and the node cap
@@ -127,24 +146,67 @@ def assignment_order(dims: GridDims) -> list[int]:
     return [f for k in ks for f in ids[diagonal_slice(k, dims)]]
 
 
-def _build_checks(index: SolutionIndex, order: list[int]) -> list[list[tuple[int, int]]]:
-    """checks[p] lists the (earlier, later) partner positions of every
-    non-degenerate triple whose middle cell in the walk's order sits at
-    position p. Under a fixed order only the middle cell's assignment finds
-    one partner colored and the other not, so only it can narrow a domain."""
+class _Checks(NamedTuple):
+    """What the walk reads per position of one cell order.
+
+    narrow[p] lists the (earlier, later) partner positions of every
+    non-degenerate triple whose middle cell sits at position p. Under a
+    fixed order only the middle cell's assignment finds one partner colored
+    and the other not, so only it can narrow a domain.
+
+    room[k] bounds how many distinct unused colors positions k.. can still
+    take once positions 0..k-1 are colored (see _room)."""
+
+    narrow: list[list[tuple[int, int]]]
+    room: list[int]
+
+
+def _build_checks(index: SolutionIndex, order: list[int]) -> _Checks:
+    """The walk's per-position tables for the index's triples, from one pass
+    over each triple's sorted positions."""
     alpha, beta, gamma, degenerate = index.arrays()
     cells = np.stack([alpha, beta, gamma], axis=1)[~degenerate]
     pos_of = np.empty(len(order), dtype=np.intp)
     pos_of[order] = np.arange(len(order))
-    checks: list[list[tuple[int, int]]] = [[] for _ in order]
+    narrow: list[list[tuple[int, int]]] = [[] for _ in order]
+    edges: list[list[tuple[int, int]]] = [[] for _ in order]
     for first, middle, last in np.sort(pos_of[cells], axis=1).tolist():
-        checks[middle].append((first, last))
-    return checks
+        narrow[middle].append((first, last))
+        edges[first].append((middle, last))
+    return _Checks(narrow, _room(edges))
+
+
+def _room(edges: list[list[tuple[int, int]]]) -> list[int]:
+    """room[k], k = 0..N, for the (middle, last) position pairs listed under
+    each triple's first position: the size of a greedy clique cover of
+    positions k..N-1 in G_k, whose edges are the pairs listed under
+    positions below k. Cells of distinct unused colors are pairwise
+    non-adjacent in G_k, so at most one sits in each clique. The adjacency
+    grows by one position's pairs per k; each vertex joins, in ascending
+    order, the first clique it is adjacent to in full."""
+    ncells = len(edges)
+    adj = [0] * ncells  # bitmask of neighbors, by position
+    room = [ncells]  # G_0 has no edges
+    for k in range(1, ncells + 1):
+        for b, c in edges[k - 1]:
+            adj[b] |= 1 << c
+            adj[c] |= 1 << b
+        cliques: list[int] = []  # bitmasks of members
+        for v in range(k, ncells):
+            near = adj[v]
+            for i, q in enumerate(cliques):
+                if q & near == q:
+                    cliques[i] = q | 1 << v
+                    break
+            else:
+                cliques.append(1 << v)
+        room.append(len(cliques))
+    return room
 
 
 def _stream(
     order: list[int],
-    checks: list[list[tuple[int, int]]],
+    checks: _Checks,
     r: int,
     prefix: tuple[int, ...],
     stop_depth: Optional[int],
@@ -157,6 +219,7 @@ def _stream(
     meter stops or cuts the run."""
     if not meter.go():
         return
+    narrow, room = checks
     ncells = len(order)
     full = (2 << r) - 2  # color c is bit 1 << c
     dom = [full] * ncells  # by position: the colors it may still take
@@ -170,7 +233,7 @@ def _stream(
     cands = [-1] * (ncells + 1)
     base = len(prefix)
     target = ncells if stop_depth is None else stop_depth
-    nodes = empty = fresh = 0
+    nodes = empty = fresh = indep = 0
     pos = 0
     try:
         while pos >= 0:
@@ -191,9 +254,14 @@ def _stream(
                 cand = d & ((4 << used) - 2)  # the RGS rule: colors 1..used + 1
                 if pos < base:
                     cand &= 1 << prefix[pos]
-                if free_at[pos] - (d == full) < r - used:
+                need = r - used
+                if free_at[pos] - (d == full) < need:
                     # a used color here leaves too few cells for the fresh ones
                     fresh += (cand & ~(2 << used)).bit_count()
+                    cand &= 2 << used
+                elif room[pos + 1] < need:
+                    # ... or too few that can hold distinct fresh colors
+                    indep += (cand & ~(2 << used)).bit_count()
                     cand &= 2 << used
                 mark[pos] = len(trail)
             else:
@@ -209,7 +277,7 @@ def _stream(
             bit[pos] = low
             nodes += 1
             free = free_at[pos] - (dom[pos] == full)
-            for a, b in checks[pos]:
+            for a, b in narrow[pos]:
                 ba = bit[a]
                 if ba != low:
                     old = dom[b]
@@ -224,20 +292,22 @@ def _stream(
                             free -= 1
             else:
                 newused = used + 1 if low >> used > 1 else used
-                if free >= r - newused:
+                if free < r - newused:
+                    fresh += 1
+                elif room[pos + 1] < r - newused:
+                    indep += 1
+                else:
                     pos += 1
                     used_at[pos] = newused
                     free_at[pos] = free
                     cands[pos] = -1
-                else:
-                    fresh += 1
             if nodes >= _FLUSH_EVERY:
-                meter.add(nodes, empty, fresh)
-                nodes = empty = fresh = 0
+                meter.add(nodes, empty, fresh, indep)
+                nodes = empty = fresh = indep = 0
                 if not meter.go():
                     return
     finally:
-        meter.add(nodes, empty, fresh)
+        meter.add(nodes, empty, fresh, indep)
 
 
 def _engine(interval: bool, base: str = ENGINE_VERSION) -> str:
@@ -267,7 +337,7 @@ def _first_witness(prefix: tuple[int, ...], job: tuple = ()) -> Optional[tuple[i
 
 def _search(
     order: list[int],
-    checks: list[list[tuple[int, int]]],
+    checks: _Checks,
     r: int,
     meter: _Meter,
 ) -> Optional[tuple[int, ...]]:

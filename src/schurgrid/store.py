@@ -5,7 +5,8 @@ Writers take an advisory lock so concurrent CLI runs do not interleave
 partial lines. Certificate.from_json raises ValueError for every malformed
 line; readers log it and skip the line instead of dying.
 A file is parsed once per state (inode, size, mtime), so an append by
-this or another process forces a re-read and nothing else does.
+this or another process forces a re-read and nothing else does; a corrupt
+line is reported once, not on every re-read.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .grid import GridDims
 log = logging.getLogger(__name__)
 
 _Key = tuple[int, int, int, str]
+_warned: set[tuple[Path, int, str]] = set()  # corrupt lines already reported
 
 
 def _load(path: Path) -> dict[_Key, Certificate]:
@@ -47,7 +49,9 @@ def _parse(path: Path, stamp: tuple[int, int, int]) -> dict[_Key, Certificate]:
         try:
             cert = Certificate.from_json(line)
         except ValueError as exc:
-            log.warning("skipping corrupt cache line %s:%d (%s)", path, lineno, exc)
+            if (path, lineno, line) not in _warned:
+                _warned.add((path, lineno, line))
+                log.warning("skipping corrupt cache line %s:%d (%s)", path, lineno, exc)
             continue
         out[(cert.dims.m, cert.dims.n, cert.r, cert.engine)] = cert
     return out

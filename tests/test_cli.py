@@ -1,6 +1,7 @@
 """CLI surface and the exit-code contract."""
 
 import json
+import logging
 
 import pytest
 
@@ -43,7 +44,7 @@ def test_rb_json_reports_prunes_by_cause(capsys):
         code, out, _ = run(capsys, command, *size, "--json")
         assert code == 0
         prunes = json.loads(out)["prunes"]
-        assert set(prunes) == {"empty_domain", "fresh_capacity"}
+        assert set(prunes) == {"empty_domain", "fresh_capacity", "independence"}
         assert all(isinstance(v, int) for v in prunes.values()) and sum(prunes.values()) > 0
 
 
@@ -73,8 +74,8 @@ def test_rb_interval(capsys):
 
 
 def test_rb_grid_budget_indeterminate(capsys):
-    # r = 12 is an exhaustion of 106,574 nodes, cut at the first flush
-    code, out, _ = run(capsys, "rb-grid", "--m", "5", "--n", "6", "--max-nodes", "1")
+    # r = 25 is an exhaustion of 325,672 nodes, cut at the first flush
+    code, out, _ = run(capsys, "rb-grid", "--m", "12", "--n", "12", "--max-nodes", "1")
     assert code == 3
     assert "indeterminate" in out
 
@@ -169,8 +170,11 @@ def test_malformed_certificate_lines(capsys, tmp_path):
                "engine": ENGINE_VERSION}
     # filed under the key rb-grid 3x3 looks up at r = 7
     bogus = {"kind": "bogus", "m": 3, "n": 3, "r": 7, "nodes": 0, "engine": ENGINE_VERSION}
+    # rainbow-free but for its cell types
+    floats = {"kind": "witness", "m": 2, "n": 3, "r": 4, "cells": [[1.0, 1.0, 2.0], [3.0, 1.0, 4.0]],
+              "nodes": 6, "engine": ENGINE_VERSION}
     path = tmp_path / "bad.json"
-    for line in ("{not json", "[1, 2]", "null", json.dumps(witness), json.dumps(bogus)):
+    for line in ("{not json", "[1, 2]", "null", *map(json.dumps, (witness, floats, bogus))):
         path.write_text(line + "\n")
         for command in ("verify", "analyze"):
             code, out, _ = run(capsys, command, "--file", str(path))
@@ -184,6 +188,19 @@ def test_malformed_certificate_lines(capsys, tmp_path):
     assert "[cached]" not in out
     line = next(ln for ln in out.splitlines() if ln.startswith("exhaustion certificate: "))
     assert json.loads(line.removeprefix("exhaustion certificate: "))["kind"] == "exhaustion"
+
+
+def test_corrupt_cache_line_is_reported_once(capsys, caplog, tmp_path):
+    # the scan appends the construction witness and the exhaustion, and each
+    # append makes the next lookup re-read the file
+    cache = tmp_path / "c.jsonl"
+    cache.write_text("{not json\n")
+    with caplog.at_level(logging.WARNING, logger="schurgrid.store"):
+        code, _, _ = run(capsys, "rb-grid", "--m", "3", "--n", "3", "--cache", str(cache))
+    assert code == 0
+    assert len(cache.read_text().splitlines()) == 3
+    warnings = [rec.message for rec in caplog.records if "corrupt" in rec.message]
+    assert len(warnings) == 1 and f"{cache}:1 " in warnings[0]
 
 
 def test_lemma_command(capsys):

@@ -16,7 +16,7 @@ from schurgrid.constructions import (
     closed_form_rb_interval,
     lower_bound_coloring,
 )
-from schurgrid.grid import GridDims
+from schurgrid.grid import GridDims, enumerate_solutions
 from schurgrid.search import (
     _FLUSH_EVERY,
     BudgetExceeded,
@@ -31,7 +31,7 @@ from schurgrid.search import (
     rb_search,
     rb_search_interval,
 )
-from schurgrid.solutions import grid_index, is_rainbow_free
+from schurgrid.solutions import grid_index, interval_index, is_rainbow_free
 
 
 def test_oracle_agreement_sample():
@@ -93,9 +93,9 @@ def _assert_witness_source(res, recorded, interval, construction):
 
 
 def test_rb_search_small_grids():
-    # every grid m <= n with m * n <= 24, each scan well inside its cap; m = 1
-    # grids have no construction
-    for d in (GridDims(m, n) for m in range(1, 5) for n in range(m, 24 // m + 1)):
+    # every grid m <= n with m * n <= 64 (8x8 takes 9,290 exhaustion nodes),
+    # each scan well inside its cap; m = 1 grids have no construction
+    for d in (GridDims(m, n) for m in range(1, 9) for n in range(m, 64 // m + 1)):
         res, recorded = _scan_recording(rb_search, d, SearchBudget(max_nodes=500_000))
         assert res.complete
         assert res.rb_value == closed_form_rb_grid(d)
@@ -106,9 +106,9 @@ def test_rb_search_small_grids():
 
 
 def test_rb_search_interval_small():
-    # [32] takes about 64k exhaustion nodes, each scan well inside its cap;
-    # [1] and [2] have no construction
-    for n in range(1, 33):
+    # [64] takes 732 exhaustion nodes, each scan well inside its cap; [1]
+    # and [2] have no construction
+    for n in range(1, 65):
         res, recorded = _scan_recording(rb_search_interval, n, SearchBudget(max_nodes=500_000))
         assert res.complete
         assert res.rb_value == closed_form_rb_interval(n)
@@ -127,17 +127,17 @@ def test_rb_convention_cases_use_vacuous_exhaustion():
 
 def test_node_budget_raises():
     with pytest.raises(BudgetExceeded):
-        # r = 12 is an exhaustion of 106,574 nodes, far past the first 4,096-node flush
-        exists_rainbow_free(GridDims(5, 6), 12, SearchBudget(max_nodes=1))
+        # r = 25 is an exhaustion of 325,672 nodes, far past the first 4,096-node flush
+        exists_rainbow_free(GridDims(12, 12), 25, SearchBudget(max_nodes=1))
 
 
 def test_zero_seconds_budget_raises_serial_and_parallel():
-    d = GridDims(5, 6)  # r = 12 is an exhaustion of 106,574 nodes; a zero deadline stops it first
+    d = GridDims(12, 12)  # r = 25 is an exhaustion of 325,672 nodes; a zero deadline stops it first
     for threads in (1, 2):
         with pytest.raises(BudgetExceeded):
-            exists_rainbow_free(d, 12, SearchBudget(max_seconds=0, threads=threads))
+            exists_rainbow_free(d, 25, SearchBudget(max_seconds=0, threads=threads))
     with pytest.raises(BudgetExceeded):
-        list(enumerate_rainbow_free(d, 12, SearchBudget(max_seconds=0)))
+        list(enumerate_rainbow_free(d, 25, SearchBudget(max_seconds=0)))
 
 
 def _add_nodes(times):
@@ -145,7 +145,7 @@ def _add_nodes(times):
 
     meter = search._job[3]
     for _ in range(times):
-        meter.add(1, 1, 2)
+        meter.add(1, 1, 2, 3)
 
 
 def test_meter_sums_nodes_from_more_workers_than_cores():
@@ -159,7 +159,11 @@ def test_meter_sums_nodes_from_more_workers_than_cores():
     with ProcessPoolExecutor(4, initializer=search._adopt, initargs=job) as pool:
         list(pool.map(_add_nodes, [2000] * 8, timeout=60))
     assert meter.nodes.value == 8 * 2000
-    assert meter.prune_counts() == {"empty_domain": 8 * 2000, "fresh_capacity": 2 * 8 * 2000}
+    assert meter.prune_counts() == {
+        "empty_domain": 8 * 2000,
+        "fresh_capacity": 2 * 8 * 2000,
+        "independence": 3 * 8 * 2000,
+    }
 
 
 def test_rb_scan_rejects_non_monotone_engine(monkeypatch):
@@ -177,11 +181,11 @@ def test_rb_scan_rejects_non_monotone_engine(monkeypatch):
 
 
 def test_budget_cut_gives_bracketing_result():
-    # r = 12 is an exhaustion of 106,574 nodes, cut at the first flush
-    res = rb_search(GridDims(5, 6), SearchBudget(max_nodes=1))
+    # r = 25 is an exhaustion of 325,672 nodes, cut at the first flush
+    res = rb_search(GridDims(12, 12), SearchBudget(max_nodes=1))
     assert not res.complete
     assert res.rb_value is None
-    assert res.lo <= 12 <= res.hi
+    assert res.lo <= 25 <= res.hi
     if res.witness is not None:
         assert res.witness.kind == "witness" and res.witness.r == res.lo - 1
     if res.exhaustion is not None:
@@ -189,15 +193,15 @@ def test_budget_cut_gives_bracketing_result():
 
 
 def test_rb_scan_budget_covers_every_r(monkeypatch):
-    # a guess one too high leaves no construction for r = 12, so the scan
-    # searches r = 13 (34,553 nodes) and r = 12 (62,250) under the cap, and
-    # r = 11 (41,144 more) does not fit
+    # a guess one too high leaves no construction for r = 25, so the scan
+    # searches r = 26 (9,731 nodes) under the cap, and r = 25 (325,672 more)
+    # does not fit
     from schurgrid import search
 
     monkeypatch.setattr(search, "closed_form_rb_grid", lambda dims: dims.m + dims.n + 2)
-    res = rb_search(GridDims(3, 8), SearchBudget(max_nodes=100_000))
+    res = rb_search(GridDims(12, 12), SearchBudget(max_nodes=100_000))
     assert not res.complete
-    assert res.exhaustion is not None and res.exhaustion.r == res.hi == 12
+    assert res.exhaustion is not None and res.exhaustion.r == res.hi == 26
     assert 100_000 <= res.nodes <= 100_000 + _FLUSH_EVERY
     # the cut scan keeps the prunes of every flush before the cut
     assert all(count > 0 for count in res.prunes.values())
@@ -243,17 +247,17 @@ def test_rb_scan_never_returns_a_failed_construction(monkeypatch):
 
 
 def test_node_cap_is_shared_by_workers():
-    d = GridDims(6, 6)  # r = 13 is an exhaustion of 887,127 nodes
+    d = GridDims(12, 12)  # r = 25 is an exhaustion of 325,672 nodes
     with pytest.raises(BudgetExceeded) as info:
-        exists_rainbow_free(d, 13, SearchBudget(max_nodes=200_000, threads=2))
+        exists_rainbow_free(d, 25, SearchBudget(max_nodes=200_000, threads=2))
     assert 200_000 <= info.value.nodes <= 200_000 + 2 * _FLUSH_EVERY
 
 
 def test_deadline_is_shared_by_workers():
-    d = GridDims(6, 7)  # r = 14 is an exhaustion of about 6.4M nodes, tens of seconds
+    d = GridDims(15, 15)  # r = 31 is an exhaustion of about 4.1M nodes, seconds
     t0 = time.monotonic()
     with pytest.raises(BudgetExceeded):
-        exists_rainbow_free(d, 14, SearchBudget(max_seconds=0.5, threads=2))
+        exists_rainbow_free(d, 31, SearchBudget(max_seconds=0.5, threads=2))
     assert time.monotonic() - t0 < 1.5
 
 
@@ -330,11 +334,75 @@ def test_enumeration_class_counts():
         assert found == classes
 
 
+def test_extremal_class_counts():
+    # rainbow-free classes at r = rb - 1: a sound bound prunes none of them
+    for m, n, classes in [(3, 3, 7), (3, 4, 18), (4, 4, 58), (4, 5, 78), (5, 5, 157)]:
+        assert sum(1 for _ in enumerate_rainbow_free(GridDims(m, n), m + n)) == classes
+    interval = [3, 1, 2, 6, 9, 1, 1, 3, 3, 9, 9, 15, 18, 1, 1, 1, 1, 4, 4, 4, 4, 12, 13, 13]
+    for n, classes in zip(range(3, 27), interval):
+        d = GridDims(1, n)
+        assert sum(1 for _ in enumerate_rainbow_free(d, n.bit_length(), interval=True)) == classes
+
+
+def _independence_number(vertices: int, adj: dict[int, int]) -> int:
+    """Largest independent set within the vertex bitmask, by plain branching."""
+    if not vertices:
+        return 0
+    v = (vertices & -vertices).bit_length() - 1
+    rest = vertices & ~(1 << v)
+    return max(_independence_number(rest, adj), 1 + _independence_number(rest & ~adj[v], adj))
+
+
+def test_room_bounds_the_independence_number():
+    # G_k is built here from grid.enumerate_solutions, not from the index
+    for d in (GridDims(m, n) for m in range(1, 5) for n in range(m, 5)):
+        order = assignment_order(d)
+        pos = {cell: p for p, cell in enumerate(order)}
+        triples = [
+            sorted((pos[d.flat(t.alpha)], pos[d.flat(t.beta)], pos[d.flat(t.gamma)]))
+            for t in enumerate_solutions(d)
+            if not t.degenerate
+        ]
+        room = _build_checks(grid_index(d.m, d.n), order).room
+        assert len(room) == d.cell_count + 1
+        for k in range(d.cell_count + 1):
+            adj = {v: 0 for v in range(d.cell_count)}
+            for a, b, c in triples:
+                if a < k <= b:
+                    adj[b] |= 1 << c
+                    adj[c] |= 1 << b
+            free = (1 << d.cell_count) - (1 << k)
+            assert room[k] >= _independence_number(free, adj), (d, k)
+
+
+def test_room_on_intervals_is_exact():
+    # on [n], G_k joins positions k.. at distance at most k, whose
+    # independence number is ceil((n - k) / (k + 1))
+    for n in range(1, 41):
+        d = GridDims(1, n)
+        room = _build_checks(interval_index(n), assignment_order(d)).room
+        assert room == [-(-(n - k) // (k + 1)) for k in range(n + 1)], n
+
+
+def test_independence_bound_node_counts():
+    # exhaustion sizes at rb under the clique-cover bound; without it, 6x6
+    # took 887,127 nodes and [40] 1,015,029
+    for scan, arg, nodes in (
+        (rb_search, GridDims(6, 6), 879),
+        (rb_search, GridDims(8, 8), 9_290),
+        (rb_search_interval, 40, 195),
+        (rb_search_interval, 64, 732),
+    ):
+        res = scan(arg)
+        assert res.complete and res.exhaustion.nodes == nodes
+
+
 def test_prunes_are_counted_by_cause():
-    res = rb_search(GridDims(3, 6))
-    assert set(res.prunes) == {"empty_domain", "fresh_capacity"}
+    # the 6x6 exhaustion at r = 13 (879 nodes) prunes by every cause
+    res = rb_search(GridDims(6, 6))
+    assert set(res.prunes) == {"empty_domain", "fresh_capacity", "independence"}
     assert all(count > 0 for count in res.prunes.values())
-    assert rb_search(GridDims(3, 6)).prunes == res.prunes
+    assert rb_search(GridDims(6, 6)).prunes == res.prunes
 
 
 def test_naive_oracle_cell_cap():

@@ -29,7 +29,7 @@ def test_cache_miss_on_key_mismatch(tmp_path):
     assert cache_get(GridDims(2, 3), 4, "schurgrid-0.0.9", path) is None
 
 
-# lines Certificate.from_json rejects; the last two are filed under 2x3, r = 4
+# lines Certificate.from_json rejects; the last four are filed under 2x3, r = 4
 _KEY = {"m": 2, "n": 3, "r": 4}
 MALFORMED = {
     "not-json": "{not json",
@@ -39,6 +39,15 @@ MALFORMED = {
         {"kind": "witness", **_KEY, "cells": [], "nodes": 0, "engine": ENGINE_VERSION}
     ),
     "bogus-kind": json.dumps({"kind": "bogus", **_KEY, "nodes": 0, "engine": ENGINE_VERSION}),
+    # a rainbow-free witness but for its cell types
+    "float-cells": json.dumps(
+        {"kind": "witness", **_KEY, "cells": [[1.0, 1.0, 2.0], [3.0, 1.0, 4.0]], "nodes": 6,
+         "engine": ENGINE_VERSION}
+    ),
+    "bool-cells": json.dumps(
+        {"kind": "witness", **_KEY, "cells": [[True, True, 2], [3, True, 4]], "nodes": 6,
+         "engine": ENGINE_VERSION}
+    ),
 }
 
 
